@@ -9,6 +9,56 @@ import (
 	"repro/internal/sim"
 )
 
+// expandBrute is the plain cross-product odometer over every registered
+// axis — dimensions and options alike, in registry order — with
+// validity checked per raw point and Canonical plus a key render per
+// point. The oracle the factored Expand is proven against —
+// O(RawPoints) where Expand is O(unique) — and as the reference
+// semantics for what a spec means.
+func (s SweepSpec) expandBrute() []Config {
+	n := s.normalized()
+	vals := make([][]axisValue, len(axes))
+	for i, ax := range axes {
+		vals[i] = ax.values(&n)
+	}
+	seen := make(map[string]bool)
+	var out []Config
+	idx := make([]int, len(axes))
+	buf := make([]byte, 0, keyBufCap)
+	var scratch Config
+	for {
+		scratch = Config{}
+		for i, ax := range axes {
+			ax.set(&scratch, vals[i][idx[i]])
+		}
+		if scratch.Valid() {
+			scratch.canonicalize()
+			buf = scratch.appendKeyTo(buf[:0])
+			if !seen[string(buf)] {
+				key := string(buf)
+				seen[key] = true
+				cfg := scratch
+				cfg.key = key
+				out = append(out, cfg)
+			}
+		}
+		// Odometer step: the last axis is least significant.
+		k := len(axes) - 1
+		for k >= 0 {
+			idx[k]++
+			if idx[k] < len(vals[k]) {
+				break
+			}
+			idx[k] = 0
+			k--
+		}
+		if k < 0 {
+			break
+		}
+	}
+	return out
+}
+
 // assertExpandEquivalent proves the factored Expand and the brute-force
 // odometer emit the identical config slice: same members, same
 // first-occurrence order, same memoized keys. This is the contract that

@@ -200,9 +200,10 @@ func forEachDimension(vals [][]axisValue, fn func(c *Config)) {
 // also deduplicated up front by canonical effect (CacheBytes {0, 4096}
 // is one point, not two). Baseline therefore explores its one real knob
 // — the workload — instead of the full option grid, and the work is
-// O(unique configs), not O(RawPoints). expandBrute keeps the plain
-// odometer as the oracle; the equivalence tests prove both paths emit
-// the identical slice, same members in the same first-occurrence order.
+// O(unique configs), not O(RawPoints). The test-only expandBrute
+// (expand_test.go) keeps the plain odometer as the oracle; the
+// equivalence tests prove both paths emit the identical slice, same
+// members in the same first-occurrence order.
 //
 // Every emitted Config carries its rendered canonical key memoized, so
 // downstream consumers (Sweep's dedup and cache lookups, shard
@@ -311,56 +312,6 @@ func dedupAxisValues(ax *Axis, vs []axisValue) []axisValue {
 		if !dup {
 			reps = append(reps, c)
 			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// expandBrute is the plain cross-product odometer over every registered
-// axis — dimensions and options alike, in registry order — with
-// validity checked per raw point and Canonical plus a key render per
-// point. Kept as the oracle the factored Expand is proven against —
-// O(RawPoints) where Expand is O(unique) — and as the reference
-// semantics for what a spec means.
-func (s SweepSpec) expandBrute() []Config {
-	n := s.normalized()
-	vals := make([][]axisValue, len(axes))
-	for i, ax := range axes {
-		vals[i] = ax.values(&n)
-	}
-	seen := make(map[string]bool)
-	var out []Config
-	idx := make([]int, len(axes))
-	buf := make([]byte, 0, keyBufCap)
-	var scratch Config
-	for {
-		scratch = Config{}
-		for i, ax := range axes {
-			ax.set(&scratch, vals[i][idx[i]])
-		}
-		if scratch.Valid() {
-			scratch.canonicalize()
-			buf = scratch.appendKeyTo(buf[:0])
-			if !seen[string(buf)] {
-				key := string(buf)
-				seen[key] = true
-				cfg := scratch
-				cfg.key = key
-				out = append(out, cfg)
-			}
-		}
-		// Odometer step: the last axis is least significant.
-		k := len(axes) - 1
-		for k >= 0 {
-			idx[k]++
-			if idx[k] < len(vals[k]) {
-				break
-			}
-			idx[k] = 0
-			k--
-		}
-		if k < 0 {
-			break
 		}
 	}
 	return out

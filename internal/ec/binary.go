@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/gf2"
+	"repro/internal/mp"
 )
 
 // BinaryCurve is y^2 + xy = x^3 + a x^2 + b over GF(2^m); all NIST
@@ -14,7 +15,7 @@ type BinaryCurve struct {
 	A      uint // curve coefficient a (0 or 1)
 	B      gf2.Elem
 	Gx, Gy gf2.Elem
-	N      []uint32 // group order as little-endian 32-bit words
+	N      mp.Int // group order
 	NBits  int
 
 	Ops PointOpCounters
@@ -32,8 +33,8 @@ type BinaryAffinePoint struct {
 	Inf  bool
 }
 
-// NewLD returns the point at infinity.
-func (c *BinaryCurve) NewLD() *LDPoint {
+// Infinity returns a fresh point at infinity.
+func (c *BinaryCurve) Infinity() *LDPoint {
 	return &LDPoint{X: gf2.New(c.F.K), Y: gf2.New(c.F.K), Z: gf2.New(c.F.K)}
 }
 
@@ -49,7 +50,7 @@ func (p *LDPoint) Set(q *LDPoint) {
 
 // FromAffine converts a to LD coordinates (Z = 1).
 func (c *BinaryCurve) FromAffine(a *BinaryAffinePoint) *LDPoint {
-	p := c.NewLD()
+	p := c.Infinity()
 	if a.Inf {
 		return p
 	}
@@ -84,7 +85,7 @@ func (c *BinaryCurve) Dbl(p, q *LDPoint) {
 	f := c.F
 	if q.IsInf() || q.X.IsZero() {
 		// 2(0, y) = infinity on these curves.
-		p.Set(c.NewLD())
+		p.Set(c.Infinity())
 		if !q.IsInf() && !q.X.IsZero() {
 			p.Set(q)
 		}
@@ -148,7 +149,7 @@ func (c *BinaryCurve) AddMixed(p, q *LDPoint, r *BinaryAffinePoint) {
 			c.Dbl(p, q)
 			return
 		}
-		p.Set(c.NewLD()) // q = -r
+		p.Set(c.Infinity()) // q = -r
 		return
 	}
 	cc := gf2.New(k)
@@ -285,6 +286,66 @@ func (c *BinaryCurve) OnCurve(a *BinaryAffinePoint) bool {
 // Generator returns the base point.
 func (c *BinaryCurve) Generator() *BinaryAffinePoint {
 	return &BinaryAffinePoint{X: c.Gx.Clone(), Y: c.Gy.Clone()}
+}
+
+// BatchToAffine converts LD points to affine with one shared field
+// inversion (Montgomery's simultaneous-inversion trick).
+func (c *BinaryCurve) BatchToAffine(ps []*LDPoint) []*BinaryAffinePoint {
+	f := c.F
+	k := f.K
+	out := make([]*BinaryAffinePoint, len(ps))
+	prefix := make([]gf2.Elem, len(ps))
+	acc := f.One.Clone()
+	for i, p := range ps {
+		prefix[i] = acc.Clone()
+		if !p.IsInf() {
+			t := gf2.New(k)
+			f.Mul(t, acc, p.Z)
+			acc = t
+		}
+	}
+	inv := gf2.New(k)
+	f.Inv(inv, acc)
+	c.Ops.ToAffine++
+	for i := len(ps) - 1; i >= 0; i-- {
+		p := ps[i]
+		if p.IsInf() {
+			out[i] = &BinaryAffinePoint{X: gf2.New(k), Y: gf2.New(k), Inf: true}
+			continue
+		}
+		zi := gf2.New(k)
+		f.Mul(zi, inv, prefix[i]) // 1/Z_i
+		t := gf2.New(k)
+		f.Mul(t, inv, p.Z)
+		copy(inv, t)
+		x := gf2.New(k)
+		f.Mul(x, p.X, zi)
+		zi2 := gf2.New(k)
+		f.Sqr(zi2, zi)
+		y := gf2.New(k)
+		f.Mul(y, p.Y, zi2)
+		out[i] = &BinaryAffinePoint{X: x, Y: y}
+	}
+	return out
+}
+
+// Order returns the group order and its bit length.
+func (c *BinaryCurve) Order() (mp.Int, int) { return c.N, c.NBits }
+
+// AffineX returns a.X's bit pattern as an integer, or ok = false at
+// infinity.
+func (c *BinaryCurve) AffineX(a *BinaryAffinePoint) (mp.Int, bool) { return mp.Int(a.X), !a.Inf }
+
+// OpCounts snapshots the field and point operation counters.
+func (c *BinaryCurve) OpCounts() (FieldOps, PointOpCounters) {
+	f := c.F.Counters
+	return FieldOps{Mul: f.Mul, Sqr: f.Sqr, Add: f.Add, Inv: f.Inv}, c.Ops
+}
+
+// ResetOpCounts zeroes the field and point operation counters.
+func (c *BinaryCurve) ResetOpCounts() {
+	c.F.Counters.Reset()
+	c.Ops.Reset()
 }
 
 func (c *BinaryCurve) String() string {

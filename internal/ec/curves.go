@@ -9,14 +9,14 @@ import (
 // binary curves use a = 1 and cofactor 2. Parameters are validated by the
 // test suite (base point on curve, n·G = ∞).
 
-type primeCurveDef struct {
+type curveDef struct {
 	field     string
 	b, gx, gy string
 	n         string
 	nbits     int
 }
 
-var primeCurveDefs = map[string]primeCurveDef{
+var primeCurveDefs = map[string]curveDef{
 	"P-192": {
 		field: "P-192",
 		b:     "64210519e59c80e70fa7e9ab72243049feb8deecc146b9b1",
@@ -70,26 +70,18 @@ func NISTPrimeCurve(name string, alg mp.MulAlg) *PrimeCurve {
 		panic("ec: unknown prime curve " + name)
 	}
 	f := mp.NISTField(def.field, alg)
-	nWords := (def.nbits + 31) / 32
 	return &PrimeCurve{
 		Name:  name,
 		F:     f,
 		B:     mp.MustHex(def.b, f.K),
 		Gx:    mp.MustHex(def.gx, f.K),
 		Gy:    mp.MustHex(def.gy, f.K),
-		N:     mp.MustHex(def.n, nWords),
+		N:     mp.MustHex(def.n, (def.nbits+31)/32),
 		NBits: def.nbits,
 	}
 }
 
-type binaryCurveDef struct {
-	field     string
-	b, gx, gy string
-	n         string
-	nbits     int
-}
-
-var binaryCurveDefs = map[string]binaryCurveDef{
+var binaryCurveDefs = map[string]curveDef{
 	"B-163": {
 		field: "B-163",
 		b:     "20a601907b8c953ca1481eb10512f78744a3205fd",
@@ -143,11 +135,6 @@ func NISTBinaryCurve(name string, alg gf2.MulAlg) *BinaryCurve {
 		panic("ec: unknown binary curve " + name)
 	}
 	f := gf2.NISTField(def.field, alg)
-	nWords := (def.nbits + 31) / 32
-	n, err := mp.FromHex(def.n, nWords)
-	if err != nil {
-		panic(err)
-	}
 	return &BinaryCurve{
 		Name:  name,
 		F:     f,
@@ -155,24 +142,16 @@ func NISTBinaryCurve(name string, alg gf2.MulAlg) *BinaryCurve {
 		B:     gf2.MustHex(def.b, f.K),
 		Gx:    gf2.MustHex(def.gx, f.K),
 		Gy:    gf2.MustHex(def.gy, f.K),
-		N:     []uint32(n),
+		N:     mp.MustHex(def.n, (def.nbits+31)/32),
 		NBits: def.nbits,
 	}
 }
 
 // KnownCurve reports whether name is one of the ten NIST curves.
 func KnownCurve(name string) bool {
-	for _, n := range PrimeCurveNames {
-		if n == name {
-			return true
-		}
-	}
-	for _, n := range BinaryCurveNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	_, prime := primeCurveDefs[name]
+	_, binary := binaryCurveDefs[name]
+	return prime || binary
 }
 
 // SecurityPairs maps each prime curve to the binary curve of equivalent

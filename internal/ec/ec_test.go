@@ -56,7 +56,7 @@ func TestBinaryCurveParamsValid(t *testing.T) {
 			t.Errorf("%s: generator not on curve", name)
 			continue
 		}
-		res := c.ScalarMult(mp.Int(c.N), c.Generator())
+		res := c.ScalarMult(c.N, c.Generator())
 		if !res.Inf {
 			t.Errorf("%s: n*G != infinity", name)
 		}
@@ -86,7 +86,7 @@ func TestPrimeDblAddAgainstAffine(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			k := randScalar(r, c.N)
 			p := c.ScalarMult(k, g)
-			d := c.NewJacobian()
+			d := c.Infinity()
 			c.Dbl(d, c.FromAffine(p))
 			got := c.ToAffine(d)
 			want := c.AddAffine(p, p)
@@ -115,7 +115,7 @@ func TestBinaryDblAddAgainstAffine(t *testing.T) {
 			}
 		}
 		// LD doubling against affine doubling.
-		d := c.NewLD()
+		d := c.Infinity()
 		c.Dbl(d, c.FromAffine(g))
 		got := c.ToAffine(d)
 		want := c.AddAffine(g, g)
@@ -237,7 +237,7 @@ func TestMontLadderAgainstSlidingWindow(t *testing.T) {
 		c := NISTBinaryCurve(name, gf2.CLMul)
 		g := c.Generator()
 		for trial := 0; trial < 5; trial++ {
-			k := randScalar(r, mp.Int(c.N))
+			k := randScalar(r, c.N)
 			a := c.ScalarMult(k, g)
 			b := c.MontLadderMult(k, g)
 			if a.Inf != b.Inf || !gf2.Equal(a.X, b.X) || !gf2.Equal(a.Y, b.Y) {
@@ -263,7 +263,7 @@ func TestTwinMultAgainstSeparate(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		u0 := randScalar(r, c.N)
 		u1 := randScalar(r, c.N)
-		got := c.TwinMult(u0, g, u1, q)
+		got := TwinMult(c, u0, g, u1, q)
 		a := c.ScalarMult(u0, g)
 		b := c.ScalarMult(u1, q)
 		want := c.AddAffine(a, b)
@@ -277,11 +277,11 @@ func TestBinaryTwinMultAgainstSeparate(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	c := NISTBinaryCurve("B-233", gf2.CLMul)
 	g := c.Generator()
-	q := c.ScalarMult(randScalar(r, mp.Int(c.N)), g)
+	q := c.ScalarMult(randScalar(r, c.N), g)
 	for trial := 0; trial < 3; trial++ {
-		u0 := randScalar(r, mp.Int(c.N))
-		u1 := randScalar(r, mp.Int(c.N))
-		got := c.TwinMult(u0, g, u1, q)
+		u0 := randScalar(r, c.N)
+		u1 := randScalar(r, c.N)
+		got := TwinMult(c, u0, g, u1, q)
 		a := c.ScalarMult(u0, g)
 		b := c.ScalarMult(u1, q)
 		want := c.AddAffine(a, b)
@@ -313,7 +313,7 @@ func TestScalarMultAllAlgsAgree(t *testing.T) {
 func TestInfinityHandling(t *testing.T) {
 	c := NISTPrimeCurve("P-192", mp.OSNIST)
 	g := c.Generator()
-	inf := c.NewJacobian()
+	inf := c.Infinity()
 	// inf + G = G.
 	c.AddMixed(inf, inf, g)
 	got := c.ToAffine(inf)
@@ -327,8 +327,8 @@ func TestInfinityHandling(t *testing.T) {
 		t.Error("G + (-G) != inf")
 	}
 	// 2*inf = inf.
-	d := c.NewJacobian()
-	c.Dbl(d, c.NewJacobian())
+	d := c.Infinity()
+	c.Dbl(d, c.Infinity())
 	if !d.IsInf() {
 		t.Error("2*inf != inf")
 	}

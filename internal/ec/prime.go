@@ -27,14 +27,6 @@ type PrimeCurve struct {
 	Ops PointOpCounters
 }
 
-// PointOpCounters counts point-level operations.
-type PointOpCounters struct {
-	Dbl, Add, Neg, ToAffine uint64
-}
-
-// Reset zeroes the counters.
-func (c *PointOpCounters) Reset() { *c = PointOpCounters{} }
-
 // JacobianPoint is (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z == 0 encodes the
 // point at infinity.
 type JacobianPoint struct {
@@ -47,8 +39,8 @@ type AffinePoint struct {
 	Inf  bool
 }
 
-// NewJacobian returns the point at infinity for curve c.
-func (c *PrimeCurve) NewJacobian() *JacobianPoint {
+// Infinity returns a fresh point at infinity.
+func (c *PrimeCurve) Infinity() *JacobianPoint {
 	return &JacobianPoint{X: mp.New(c.F.K), Y: mp.New(c.F.K), Z: mp.New(c.F.K)}
 }
 
@@ -64,7 +56,7 @@ func (p *JacobianPoint) Set(q *JacobianPoint) {
 
 // FromAffine converts a to Jacobian (Z = 1).
 func (c *PrimeCurve) FromAffine(a *AffinePoint) *JacobianPoint {
-	p := c.NewJacobian()
+	p := c.Infinity()
 	if a.Inf {
 		return p
 	}
@@ -178,7 +170,7 @@ func (c *PrimeCurve) AddMixed(p, q *JacobianPoint, r *AffinePoint) {
 			return
 		}
 		// q = -r: result is infinity.
-		z := c.NewJacobian()
+		z := c.Infinity()
 		p.Set(z)
 		return
 	}
@@ -285,6 +277,68 @@ func (c *PrimeCurve) OnCurve(a *AffinePoint) bool {
 // Generator returns the curve's base point.
 func (c *PrimeCurve) Generator() *AffinePoint {
 	return &AffinePoint{X: c.Gx.Clone(), Y: c.Gy.Clone()}
+}
+
+// BatchToAffine converts Jacobian points to affine with one shared field
+// inversion (3 extra multiplications per point).
+func (c *PrimeCurve) BatchToAffine(ps []*JacobianPoint) []*AffinePoint {
+	f := c.F
+	k := f.K
+	out := make([]*AffinePoint, len(ps))
+	// Prefix products of the Z coordinates, skipping infinities.
+	prefix := make([]mp.Int, len(ps))
+	acc := f.One.Clone()
+	for i, p := range ps {
+		prefix[i] = acc.Clone()
+		if !p.IsInf() {
+			t := mp.New(k)
+			f.Mul(t, acc, p.Z)
+			acc = t
+		}
+	}
+	inv := mp.New(k)
+	f.Inv(inv, acc)
+	c.Ops.ToAffine++
+	for i := len(ps) - 1; i >= 0; i-- {
+		p := ps[i]
+		if p.IsInf() {
+			out[i] = &AffinePoint{X: mp.New(k), Y: mp.New(k), Inf: true}
+			continue
+		}
+		zi := mp.New(k)
+		f.Mul(zi, inv, prefix[i]) // 1/Z_i
+		t := mp.New(k)
+		f.Mul(t, inv, p.Z) // strip Z_i from the running inverse
+		copy(inv, t)
+		zi2 := mp.New(k)
+		f.Sqr(zi2, zi)
+		x := mp.New(k)
+		f.Mul(x, p.X, zi2)
+		zi3 := mp.New(k)
+		f.Mul(zi3, zi2, zi)
+		y := mp.New(k)
+		f.Mul(y, p.Y, zi3)
+		out[i] = &AffinePoint{X: x, Y: y}
+	}
+	return out
+}
+
+// Order returns the group order and its bit length.
+func (c *PrimeCurve) Order() (mp.Int, int) { return c.N, c.NBits }
+
+// AffineX returns a.X as an integer, or ok = false at infinity.
+func (c *PrimeCurve) AffineX(a *AffinePoint) (mp.Int, bool) { return a.X, !a.Inf }
+
+// OpCounts snapshots the field and point operation counters.
+func (c *PrimeCurve) OpCounts() (FieldOps, PointOpCounters) {
+	f := c.F.Counters
+	return FieldOps{Mul: f.Mul, Sqr: f.Sqr, Add: f.Add, Sub: f.Sub, Inv: f.Inv}, c.Ops
+}
+
+// ResetOpCounts zeroes the field and point operation counters.
+func (c *PrimeCurve) ResetOpCounts() {
+	c.F.Counters.Reset()
+	c.Ops.Reset()
 }
 
 func (c *PrimeCurve) String() string {

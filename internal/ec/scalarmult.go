@@ -2,11 +2,55 @@ package ec
 
 import "repro/internal/mp"
 
-// Scalar multiplication algorithms (Section 4.1): a signed sliding-window
-// method with a small table of odd multiples for single multiplications
-// (signatures), joint-sparse-form twin multiplication for verification,
-// and the Montgomery ladder the paper evaluated for Billie (and found
-// slower than the sliding window, Figure 7.14).
+// Scalar multiplication algorithms (Section 4.1), written once for both
+// curve families over Curve: a signed sliding-window method with a small
+// table of odd multiples for single multiplications (signatures) and
+// joint-sparse-form twin multiplication for verification. The
+// binary-only Montgomery ladder lives in ladder.go.
+
+// Curve is the point-level interface both curve families implement:
+// *PrimeCurve (Jacobian coordinates, P = *JacobianPoint, A = *AffinePoint)
+// and *BinaryCurve (López-Dahab coordinates, P = *LDPoint,
+// A = *BinaryAffinePoint). Everything above the point layer — the scalar
+// multiplications here, ECDSA/ECDH and their profiling, the simulator's
+// workload census — is written once over it. The field arithmetic below
+// it stays concrete per family, so no interface call sits on a field
+// operation.
+type Curve[P, A any] interface {
+	Infinity() P // a fresh projective point at infinity
+	FromAffine(a A) P
+	Dbl(p, q P)           // p = 2q
+	AddMixed(p, q P, r A) // p = q + r
+	ToAffine(p P) A
+	BatchToAffine(ps []P) []A
+	NegAffine(a A) A
+	AddAffine(a, b A) A
+	OnCurve(a A) bool
+	Generator() A
+	// Order returns the group order n and its bit length.
+	Order() (n mp.Int, bits int)
+	// AffineX returns a's x-coordinate read as an integer (the FIPS 186
+	// field-element conversion), or ok = false at infinity.
+	AffineX(a A) (x mp.Int, ok bool)
+	// OpCounts snapshots the field and point operation counters;
+	// ResetOpCounts zeroes both.
+	OpCounts() (FieldOps, PointOpCounters)
+	ResetOpCounts()
+}
+
+// FieldOps is a family-neutral snapshot of a curve field's operation
+// counters (binary fields count no subtractions: Sub stays zero).
+type FieldOps struct {
+	Mul, Sqr, Add, Sub, Inv uint64
+}
+
+// PointOpCounters counts point-level operations.
+type PointOpCounters struct {
+	Dbl, Add, Neg, ToAffine uint64
+}
+
+// Reset zeroes the counters.
+func (c *PointOpCounters) Reset() { *c = PointOpCounters{} }
 
 // wnaf recodes scalar x into width-w non-adjacent form: a digit stream
 // (least significant first) of zeros and odd digits |d| < 2^(w-1).
@@ -68,18 +112,20 @@ func addSmall(v mp.Int, d uint32) {
 // multiplication. Width 4 precomputes the odd multiples 3P, 5P, 7P.
 const WindowWidth = 4
 
-// ScalarMult computes x·P with the signed sliding-window method.
-func (c *PrimeCurve) ScalarMult(x mp.Int, p *AffinePoint) *AffinePoint {
+// ScalarMult computes x·P on either curve family with the signed
+// sliding-window method (point subtraction costs the same as addition on
+// both families, Section 4.1).
+func ScalarMult[P, A any](c Curve[P, A], x mp.Int, p A) A {
 	digits := wnaf(x, WindowWidth)
 	// Precompute odd multiples P, 3P, 5P, 7P (affine, via the cheap
 	// table path — in the real software these are computed once per
 	// scalar multiplication).
-	table := c.oddMultiples(p, 1<<(WindowWidth-1))
-	neg := make([]*AffinePoint, len(table))
+	table := oddMultiples(c, p, 1<<(WindowWidth-1))
+	neg := make([]A, len(table))
 	for i, t := range table {
 		neg[i] = c.NegAffine(t)
 	}
-	q := c.NewJacobian()
+	q := c.Infinity()
 	for i := len(digits) - 1; i >= 0; i-- {
 		c.Dbl(q, q)
 		d := digits[i]
@@ -92,75 +138,38 @@ func (c *PrimeCurve) ScalarMult(x mp.Int, p *AffinePoint) *AffinePoint {
 	return c.ToAffine(q)
 }
 
+// ScalarMult computes x·P on a prime curve.
+func (c *PrimeCurve) ScalarMult(x mp.Int, p *AffinePoint) *AffinePoint { return ScalarMult(c, x, p) }
+
+// ScalarMult computes x·P on a binary curve.
+func (c *BinaryCurve) ScalarMult(x mp.Int, p *BinaryAffinePoint) *BinaryAffinePoint {
+	return ScalarMult(c, x, p)
+}
+
 // oddMultiples returns [P, 3P, 5P, ...] with n entries. The multiples are
-// accumulated in Jacobian coordinates and converted to affine with a single
-// shared inversion (Montgomery's simultaneous-inversion trick) — the way
-// the paper's software builds its 3P/5P window table without paying one
-// field inversion per point.
-func (c *PrimeCurve) oddMultiples(p *AffinePoint, n int) []*AffinePoint {
-	table := make([]*AffinePoint, n)
+// accumulated in projective coordinates and converted to affine with a
+// single shared inversion (Montgomery's simultaneous-inversion trick) —
+// the way the paper's software builds its 3P/5P window table without
+// paying one field inversion per point.
+func oddMultiples[P, A any](c Curve[P, A], p A, n int) []A {
+	table := make([]A, n)
 	table[0] = p
 	if n == 1 {
 		return table
 	}
-	twoJ := c.NewJacobian()
-	c.Dbl(twoJ, c.FromAffine(p))
-	twoP := c.ToAffine(twoJ) // one inversion for 2P
-	js := make([]*JacobianPoint, n-1)
+	two := c.Infinity()
+	c.Dbl(two, c.FromAffine(p))
+	twoP := c.ToAffine(two) // one inversion for 2P
+	ps := make([]P, n-1)
 	cur := c.FromAffine(p)
 	for i := 1; i < n; i++ {
-		next := c.NewJacobian()
+		next := c.Infinity()
 		c.AddMixed(next, cur, twoP)
-		js[i-1] = next
+		ps[i-1] = next
 		cur = next
 	}
-	aff := c.BatchToAffine(js) // one inversion for the whole table
-	copy(table[1:], aff)
+	copy(table[1:], c.BatchToAffine(ps)) // one inversion for the whole table
 	return table
-}
-
-// BatchToAffine converts Jacobian points to affine with one shared field
-// inversion (3 extra multiplications per point).
-func (c *PrimeCurve) BatchToAffine(ps []*JacobianPoint) []*AffinePoint {
-	f := c.F
-	k := f.K
-	out := make([]*AffinePoint, len(ps))
-	// Prefix products of the Z coordinates, skipping infinities.
-	prefix := make([]mp.Int, len(ps))
-	acc := f.One.Clone()
-	for i, p := range ps {
-		prefix[i] = acc.Clone()
-		if !p.IsInf() {
-			t := mp.New(k)
-			f.Mul(t, acc, p.Z)
-			acc = t
-		}
-	}
-	inv := mp.New(k)
-	f.Inv(inv, acc)
-	c.Ops.ToAffine++
-	for i := len(ps) - 1; i >= 0; i-- {
-		p := ps[i]
-		if p.IsInf() {
-			out[i] = &AffinePoint{X: mp.New(k), Y: mp.New(k), Inf: true}
-			continue
-		}
-		zi := mp.New(k)
-		f.Mul(zi, inv, prefix[i]) // 1/Z_i
-		t := mp.New(k)
-		f.Mul(t, inv, p.Z) // strip Z_i from the running inverse
-		copy(inv, t)
-		zi2 := mp.New(k)
-		f.Sqr(zi2, zi)
-		x := mp.New(k)
-		f.Mul(x, p.X, zi2)
-		zi3 := mp.New(k)
-		f.Mul(zi3, zi2, zi)
-		y := mp.New(k)
-		f.Mul(y, p.Y, zi3)
-		out[i] = &AffinePoint{X: x, Y: y}
-	}
-	return out
 }
 
 // jsf computes the joint sparse form of scalars k0 and k1 (Solinas; Guide
@@ -218,42 +227,21 @@ func shiftWithDigit(v mp.Int, carryIn, d int8) int8 {
 }
 
 // TwinMult computes u0·P + u1·Q with JSF twin multiplication using the
-// precomputed points P+Q and P−Q (Section 4.1).
-func (c *PrimeCurve) TwinMult(u0 mp.Int, p *AffinePoint, u1 mp.Int, q *AffinePoint) *AffinePoint {
+// precomputed points P+Q and P−Q (Section 4.1; ECDSA verification).
+func TwinMult[P, A any](c Curve[P, A], u0 mp.Int, p A, u1 mp.Int, q A) A {
 	d0, d1 := jsf(u0, u1)
 	sum := c.AddAffine(p, q)               // P+Q
 	diff := c.AddAffine(p, c.NegAffine(q)) // P−Q
-	negP := c.NegAffine(p)
-	negQ := c.NegAffine(q)
-	negSum := c.NegAffine(sum)
-	negDiff := c.NegAffine(diff)
-	pick := func(a, b int8) *AffinePoint {
-		switch {
-		case a == 1 && b == 1:
-			return sum
-		case a == 1 && b == 0:
-			return p
-		case a == 1 && b == -1:
-			return diff
-		case a == 0 && b == 1:
-			return q
-		case a == 0 && b == -1:
-			return negQ
-		case a == -1 && b == 1:
-			return negDiff
-		case a == -1 && b == 0:
-			return negP
-		case a == -1 && b == -1:
-			return negSum
-		}
-		return nil
+	// table[3(a+1) + (b+1)] = a·P + b·Q for JSF digits a, b ∈ {-1, 0, 1};
+	// the (0, 0) slot is never read.
+	var none A
+	table := [9]A{
+		c.NegAffine(sum), c.NegAffine(p), c.NegAffine(diff), // a = -1
+		c.NegAffine(q), none, q, // a = 0
+		diff, p, sum, // a = 1
 	}
-	r := c.NewJacobian()
-	n := len(d0)
-	if len(d1) > n {
-		n = len(d1)
-	}
-	for i := n - 1; i >= 0; i-- {
+	r := c.Infinity()
+	for i := max(len(d0), len(d1)) - 1; i >= 0; i-- {
 		c.Dbl(r, r)
 		var a, b int8
 		if i < len(d0) {
@@ -262,14 +250,9 @@ func (c *PrimeCurve) TwinMult(u0 mp.Int, p *AffinePoint, u1 mp.Int, q *AffinePoi
 		if i < len(d1) {
 			b = d1[i]
 		}
-		if t := pick(a, b); t != nil {
-			c.AddMixed(r, r, t)
+		if a != 0 || b != 0 {
+			c.AddMixed(r, r, table[3*(a+1)+b+1])
 		}
 	}
 	return c.ToAffine(r)
-}
-
-// ScalarBaseMult computes x·G.
-func (c *PrimeCurve) ScalarBaseMult(x mp.Int) *AffinePoint {
-	return c.ScalarMult(x, c.Generator())
 }

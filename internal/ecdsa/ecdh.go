@@ -12,39 +12,18 @@ import (
 // scalar point multiplication per side, after which traffic switches to
 // symmetric encryption (Section 2.1.1's amortization argument).
 
-// ECDH computes the shared secret d·Q on a prime curve and derives a
-// 256-bit session key from the shared x-coordinate.
-func ECDH(priv *PrivateKey, peer *ec.AffinePoint) ([]byte, error) {
-	if peer.Inf || !priv.Curve.OnCurve(peer) {
+// ECDH computes the shared secret d·Q and derives a 256-bit session key
+// from the fixed-width big-endian encoding of the shared x-coordinate.
+func ECDH[P, A any](priv *PrivateKey[P, A], peer A) ([]byte, error) {
+	curve := priv.Curve
+	if _, ok := curve.AffineX(peer); !ok || !curve.OnCurve(peer) {
 		return nil, errors.New("ecdh: peer public key not on curve")
 	}
-	shared := priv.Curve.ScalarMult(priv.D, peer)
-	if shared.Inf {
+	x, ok := curve.AffineX(ec.ScalarMult(curve, priv.D, peer))
+	if !ok {
 		return nil, errors.New("ecdh: degenerate shared point")
 	}
-	key := sha256.Sum256(shared.X.Bytes())
-	return key[:], nil
-}
-
-// ECDHBinary is the binary-curve variant; the session key is derived from
-// the fixed-width big-endian encoding of the shared x-coordinate.
-func ECDHBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) ([]byte, error) {
-	if peer.Inf || !priv.Curve.OnCurve(peer) {
-		return nil, errors.New("ecdh: peer public key not on curve")
-	}
-	shared := priv.Curve.ScalarMult(priv.D, peer)
-	if shared.Inf {
-		return nil, errors.New("ecdh: degenerate shared point")
-	}
-	buf := make([]byte, 4*len(shared.X))
-	for i, w := range shared.X {
-		off := len(buf) - 4*(i+1)
-		buf[off] = byte(w >> 24)
-		buf[off+1] = byte(w >> 16)
-		buf[off+2] = byte(w >> 8)
-		buf[off+3] = byte(w)
-	}
-	key := sha256.Sum256(buf)
+	key := sha256.Sum256(x.Bytes())
 	return key[:], nil
 }
 
@@ -52,35 +31,11 @@ func ECDHBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) ([]byte, err
 // agreement (one scalar multiplication plus the peer-key curve check),
 // returning the derived session key so callers can cross-check agreement
 // with the peer's side.
-func ECDHProfile(priv *PrivateKey, peer *ec.AffinePoint) ([]byte, OpProfile, error) {
-	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
+func ECDHProfile[P, A any](priv *PrivateKey[P, A], peer A) ([]byte, OpProfile, error) {
+	priv.Curve.ResetOpCounts()
 	key, err := ECDH(priv, peer)
 	if err != nil {
 		return nil, OpProfile{}, err
 	}
-	return key, OpProfile{
-		Field:     curve.F.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}, nil
-}
-
-// ECDHProfileBinary is the binary-curve variant of ECDHProfile.
-func ECDHProfileBinary(priv *BinaryPrivateKey, peer *ec.BinaryAffinePoint) ([]byte, BinaryOpProfile, error) {
-	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	key, err := ECDHBinary(priv, peer)
-	if err != nil {
-		return nil, BinaryOpProfile{}, err
-	}
-	return key, BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}, nil
+	return key, profileOf(priv.Curve, nil), nil
 }

@@ -36,13 +36,13 @@ func TestECDHAgreement(t *testing.T) {
 func TestECDHBinaryAgreement(t *testing.T) {
 	for _, name := range []string{"B-163", "B-283"} {
 		curve := ec.NISTBinaryCurve(name, gf2.CLMul)
-		alice := GenerateBinaryKey(curve, []byte("alice-"+name))
-		bob := GenerateBinaryKey(curve, []byte("bob-"+name))
-		k1, err := ECDHBinary(alice, bob.Q)
+		alice := GenerateKey(curve, []byte("alice-"+name))
+		bob := GenerateKey(curve, []byte("bob-"+name))
+		k1, err := ECDH(alice, bob.Q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		k2, err := ECDHBinary(bob, alice.Q)
+		k2, err := ECDH(bob, alice.Q)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -53,21 +53,33 @@ func TestECDHBinaryAgreement(t *testing.T) {
 }
 
 func TestECDHRejectsInvalidPeer(t *testing.T) {
-	curve := ec.NISTPrimeCurve("P-192", mp.PSNIST)
+	// x = y = 1 is on neither P-192 nor B-163.
+	t.Run("P-192", func(t *testing.T) {
+		c := p192()
+		ecdhRejectsInvalidPeer(t, c, &ec.AffinePoint{X: c.F.One.Clone(), Y: c.F.One.Clone()})
+	})
+	t.Run("B-163", func(t *testing.T) {
+		c := b163()
+		ecdhRejectsInvalidPeer(t, c, &ec.BinaryAffinePoint{X: c.F.One.Clone(), Y: c.F.One.Clone()})
+	})
+}
+
+func ecdhRejectsInvalidPeer[P, A any](t *testing.T, curve ec.Curve[P, A], offCurve A) {
 	priv := GenerateKey(curve, []byte("k"))
-	// A point off the curve (x = y = 1 is not on P-192).
-	bad := &ec.AffinePoint{X: curve.F.One.Clone(), Y: curve.F.One.Clone()}
-	if _, err := ECDH(priv, bad); err == nil {
+	if _, err := ECDH(priv, offCurve); err == nil {
 		t.Error("off-curve peer accepted")
 	}
-	inf := &ec.AffinePoint{X: mp.New(curve.F.K), Y: mp.New(curve.F.K), Inf: true}
-	if _, err := ECDH(priv, inf); err == nil {
+	if _, err := ECDH(priv, curve.ToAffine(curve.Infinity())); err == nil {
 		t.Error("point at infinity accepted")
 	}
 }
 
 func TestECDHProfileCountsOps(t *testing.T) {
-	curve := ec.NISTPrimeCurve("P-224", mp.PSNIST)
+	t.Run("P-192", func(t *testing.T) { ecdhProfileCountsOps(t, p192()) })
+	t.Run("B-163", func(t *testing.T) { ecdhProfileCountsOps(t, b163()) })
+}
+
+func ecdhProfileCountsOps[P, A any](t *testing.T, curve ec.Curve[P, A]) {
 	alice := GenerateKey(curve, []byte("a"))
 	bob := GenerateKey(curve, []byte("b"))
 	key, prof, err := ECDHProfile(alice, bob.Q)
@@ -82,7 +94,8 @@ func TestECDHProfileCountsOps(t *testing.T) {
 	}
 	// One key agreement ~ one scalar multiplication: roughly nbits
 	// doublings.
-	if prof.Point.Dbl < uint64(curve.NBits)-10 || prof.Point.Dbl > uint64(curve.NBits)+10 {
-		t.Errorf("doubling count %d far from %d", prof.Point.Dbl, curve.NBits)
+	_, nbits := curve.Order()
+	if prof.Point.Dbl < uint64(nbits)-10 || prof.Point.Dbl > uint64(nbits)+10 {
+		t.Errorf("doubling count %d far from %d", prof.Point.Dbl, nbits)
 	}
 }

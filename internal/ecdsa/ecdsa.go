@@ -4,7 +4,14 @@
 // multiplication; a verification costs one twin scalar point
 // multiplication; both also perform arithmetic modulo the group order,
 // which always stays on the processor ("Pete") even in the accelerated
-// configurations (a key Amdahl's-law observation of Section 7.3).
+// configurations (a key Amdahl's-law observation of Section 7.3). That
+// order arithmetic is integer (prime-field) work on binary curves too,
+// which is why ECDSA "still requires prime-field mathematics"
+// (Section 2.1.4).
+//
+// Key generation, signing, verification, ECDH and their profilers are
+// written once over ec.Curve; the one per-family difference above the
+// point layer is the signing-nonce derivation (signingNonce).
 package ecdsa
 
 import (
@@ -16,11 +23,12 @@ import (
 	"repro/internal/mp"
 )
 
-// PrivateKey is an ECDSA private key on a prime curve.
-type PrivateKey struct {
-	Curve *ec.PrimeCurve
-	D     mp.Int          // secret scalar
-	Q     *ec.AffinePoint // public point D*G
+// PrivateKey is an ECDSA private key on a curve of either family (P and A
+// are the curve's projective and affine point types).
+type PrivateKey[P, A any] struct {
+	Curve ec.Curve[P, A]
+	D     mp.Int // secret scalar
+	Q     A      // public point D*G
 }
 
 // Signature is an (r, s) ECDSA signature.
@@ -33,18 +41,24 @@ type Signature struct {
 // operation gets its own instance so its op counters are private — Sign,
 // Verify and the profilers are safe to run concurrently (the parallel
 // sweep engine relies on this).
-func newOrderField(name string, n mp.Int, bits int) *mp.Field {
-	return mp.NewField("order-"+name, bits, n, mp.CIOS)
+func newOrderField[P, A any](curve ec.Curve[P, A]) *mp.Field {
+	n, bits := curve.Order()
+	return mp.NewField("order", bits, n, mp.CIOS)
 }
 
 // GenerateKey derives a private key deterministically from seed material —
 // the simulated embedded system has no OS entropy source, matching the
 // paper's bare-metal environment (Section 4.3).
-func GenerateKey(curve *ec.PrimeCurve, seed []byte) *PrivateKey {
-	n := curve.N
+func GenerateKey[P, A any](curve ec.Curve[P, A], seed []byte) *PrivateKey[P, A] {
+	n, _ := curve.Order()
 	d := hashToScalar(seed, n)
-	q := curve.ScalarBaseMult(d)
-	return &PrivateKey{Curve: curve, D: d, Q: q}
+	q := ec.ScalarMult(curve, d, curve.Generator())
+	return &PrivateKey[P, A]{Curve: curve, D: d, Q: q}
+}
+
+// GenerateBinaryKey is GenerateKey on a binary curve.
+func GenerateBinaryKey(curve *ec.BinaryCurve, seed []byte) *PrivateKey[*ec.LDPoint, *ec.BinaryAffinePoint] {
+	return GenerateKey(curve, seed)
 }
 
 // hashToScalar maps bytes to a nonzero scalar in [1, n-1].
@@ -77,12 +91,24 @@ func hashToScalar(b []byte, n mp.Int) mp.Int {
 	}
 }
 
-// nonce derives a deterministic per-message nonce k (RFC-6979-style HMAC
-// construction) so the workload is reproducible run to run.
-func nonce(d mp.Int, e mp.Int, n mp.Int) mp.Int {
+// signingNonce derives the deterministic (RFC-6979-style HMAC) nonce k
+// for one signing attempt, so the workload is reproducible run to run.
+// The derivation is the one deliberate per-family difference: prime
+// curves HMAC e and rehash k‖attempt on a retry, binary curves HMAC
+// e‖attempt. The nonce fixes the scalar and the scalar fixes the
+// operation census, so merging the two would change every binary census.
+func signingNonce[P, A any](curve ec.Curve[P, A], d, e, n mp.Int, attempt int) mp.Int {
 	mac := hmac.New(sha256.New, d.Bytes())
 	mac.Write(e.Bytes())
-	return hashToScalar(mac.Sum(nil), n)
+	if _, binary := any(curve).(*ec.BinaryCurve); binary {
+		mac.Write([]byte{byte(attempt)})
+		return hashToScalar(mac.Sum(nil), n)
+	}
+	k := hashToScalar(mac.Sum(nil), n)
+	if attempt > 0 {
+		k = hashToScalar(append(k.Bytes(), byte(attempt)), n)
+	}
+	return k
 }
 
 // hashToE truncates a message digest to the order's bit length (FIPS 186
@@ -104,31 +130,38 @@ func hashToE(digest []byte, n mp.Int) mp.Int {
 	return e
 }
 
+// reduceX returns x mod n for a coordinate x read as an integer, at n's
+// width.
+func reduceX(x, n mp.Int) mp.Int {
+	r := mp.New(len(n))
+	copy(r, x)
+	for mp.Cmp(r, n) >= 0 {
+		mp.Sub(r, r, n)
+	}
+	return r
+}
+
 // Sign produces an ECDSA signature over digest (already hashed message).
-func Sign(priv *PrivateKey, digest []byte) (*Signature, error) {
-	curve := priv.Curve
-	return signWith(newOrderField(curve.Name, curve.N, curve.NBits), priv, digest)
+func Sign[P, A any](priv *PrivateKey[P, A], digest []byte) (*Signature, error) {
+	return signWith(newOrderField(priv.Curve), priv, digest)
+}
+
+// SignBinary is Sign on a binary curve.
+func SignBinary(priv *PrivateKey[*ec.LDPoint, *ec.BinaryAffinePoint], digest []byte) (*Signature, error) {
+	return Sign(priv, digest)
 }
 
 // signWith is Sign with the caller-supplied group-order field (the
 // profiler reads its counters afterwards).
-func signWith(of *mp.Field, priv *PrivateKey, digest []byte) (*Signature, error) {
+func signWith[P, A any](of *mp.Field, priv *PrivateKey[P, A], digest []byte) (*Signature, error) {
 	curve := priv.Curve
-	n := curve.N
+	n, _ := curve.Order()
 	e := hashToE(digest, n)
 	for attempt := 0; attempt < 64; attempt++ {
-		k := nonce(priv.D, e, n)
-		if attempt > 0 {
-			extra := append(k.Bytes(), byte(attempt))
-			k = hashToScalar(extra, n)
-		}
+		k := signingNonce(curve, priv.D, e, n, attempt)
 		// R = k*G; r = R.x mod n.
-		R := curve.ScalarBaseMult(k)
-		r := mp.New(len(n))
-		copyTruncate(r, R.X)
-		for mp.Cmp(r, n) >= 0 {
-			mp.Sub(r, r, n)
-		}
+		x, _ := curve.AffineX(ec.ScalarMult(curve, k, curve.Generator()))
+		r := reduceX(x, n)
 		if r.IsZero() {
 			continue
 		}
@@ -149,43 +182,37 @@ func signWith(of *mp.Field, priv *PrivateKey, digest []byte) (*Signature, error)
 	return nil, errors.New("ecdsa: could not produce a signature")
 }
 
-// copyTruncate copies src into dst (dst may be shorter).
-func copyTruncate(dst, src mp.Int) {
-	for i := range dst {
-		if i < len(src) {
-			dst[i] = src[i]
-		}
-	}
+// Verify checks an ECDSA signature over digest.
+func Verify[P, A any](curve ec.Curve[P, A], pub A, digest []byte, sig *Signature) bool {
+	return verifyWith(newOrderField(curve), curve, pub, digest, sig)
 }
 
-// Verify checks an ECDSA signature over digest.
-func Verify(curve *ec.PrimeCurve, pub *ec.AffinePoint, digest []byte, sig *Signature) bool {
-	return verifyWith(newOrderField(curve.Name, curve.N, curve.NBits), curve, pub, digest, sig)
+// VerifyBinary is Verify on a binary curve.
+func VerifyBinary(curve *ec.BinaryCurve, pub *ec.BinaryAffinePoint, digest []byte, sig *Signature) bool {
+	return Verify(curve, pub, digest, sig)
 }
 
 // verifyWith is Verify with the caller-supplied group-order field.
-func verifyWith(of *mp.Field, curve *ec.PrimeCurve, pub *ec.AffinePoint, digest []byte, sig *Signature) bool {
-	n := curve.N
+func verifyWith[P, A any](of *mp.Field, curve ec.Curve[P, A], pub A, digest []byte, sig *Signature) bool {
+	n, _ := curve.Order()
 	if sig.R.IsZero() || sig.S.IsZero() ||
 		mp.Cmp(sig.R, n) >= 0 || mp.Cmp(sig.S, n) >= 0 {
 		return false
 	}
+	// Both are below n, so widening or narrowing them to n's word count
+	// is exact: a signature made on a curve of another size then fails
+	// verification instead of indexing past the order field's words.
+	r, s := mp.New(len(n)), mp.New(len(n))
+	copy(r, sig.R)
+	copy(s, sig.S)
 	e := hashToE(digest, n)
 	w := mp.New(of.K)
-	of.Inv(w, sig.S)
+	of.Inv(w, s)
 	u1 := mp.New(of.K)
 	of.Mul(u1, e, w)
 	u2 := mp.New(of.K)
-	of.Mul(u2, sig.R, w)
+	of.Mul(u2, r, w)
 	// X = u1*G + u2*Q via twin multiplication (Section 4.1).
-	X := curve.TwinMult(u1, curve.Generator(), u2, pub)
-	if X.Inf {
-		return false
-	}
-	v := mp.New(len(n))
-	copyTruncate(v, X.X)
-	for mp.Cmp(v, n) >= 0 {
-		mp.Sub(v, v, n)
-	}
-	return mp.Cmp(v, sig.R) == 0
+	x, ok := curve.AffineX(ec.TwinMult(curve, u1, curve.Generator(), u2, pub))
+	return ok && mp.Cmp(reduceX(x, n), r) == 0
 }

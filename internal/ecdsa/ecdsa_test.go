@@ -48,16 +48,16 @@ func TestSignVerifyAllPrimeCurves(t *testing.T) {
 func TestSignVerifyAllBinaryCurves(t *testing.T) {
 	for _, name := range ec.BinaryCurveNames {
 		curve := ec.NISTBinaryCurve(name, gf2.CLMul)
-		priv := GenerateBinaryKey(curve, []byte("seed-"+name))
+		priv := GenerateKey(curve, []byte("seed-"+name))
 		msg := digestOf("binary fox " + name)
-		sig, err := SignBinary(priv, msg)
+		sig, err := Sign(priv, msg)
 		if err != nil {
 			t.Fatalf("%s: sign failed: %v", name, err)
 		}
-		if !VerifyBinary(curve, priv.Q, msg, sig) {
+		if !Verify(curve, priv.Q, msg, sig) {
 			t.Errorf("%s: valid signature rejected", name)
 		}
-		if VerifyBinary(curve, priv.Q, digestOf("tampered"), sig) {
+		if Verify(curve, priv.Q, digestOf("tampered"), sig) {
 			t.Errorf("%s: tampered digest accepted", name)
 		}
 	}
@@ -91,8 +91,8 @@ func TestBinaryCrossAlgConsistency(t *testing.T) {
 	msg := digestOf("bin-consistency")
 	for _, alg := range []gf2.MulAlg{gf2.Comb, gf2.CLMul} {
 		curve := ec.NISTBinaryCurve("B-163", alg)
-		priv := GenerateBinaryKey(curve, []byte("same-seed"))
-		sig, err := SignBinary(priv, msg)
+		priv := GenerateKey(curve, []byte("same-seed"))
+		sig, err := Sign(priv, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,8 +106,17 @@ func TestBinaryCrossAlgConsistency(t *testing.T) {
 	}
 }
 
+// p192 and b163 are the one-curve-per-family rows of the tests below
+// that run the same body on both curve families.
+func p192() *ec.PrimeCurve  { return ec.NISTPrimeCurve("P-192", mp.PSNIST) }
+func b163() *ec.BinaryCurve { return ec.NISTBinaryCurve("B-163", gf2.CLMul) }
+
 func TestVerifyRejectsBadInputs(t *testing.T) {
-	curve := ec.NISTPrimeCurve("P-192", mp.PSNIST)
+	t.Run("P-192", func(t *testing.T) { verifyRejectsBadInputs(t, p192()) })
+	t.Run("B-163", func(t *testing.T) { verifyRejectsBadInputs(t, b163()) })
+}
+
+func verifyRejectsBadInputs[P, A any](t *testing.T, curve ec.Curve[P, A]) {
 	priv := GenerateKey(curve, []byte("k"))
 	msg := digestOf("m")
 	sig, _ := Sign(priv, msg)
@@ -118,8 +127,8 @@ func TestVerifyRejectsBadInputs(t *testing.T) {
 	if Verify(curve, priv.Q, msg, &Signature{R: sig.R, S: zero}) {
 		t.Error("s = 0 accepted")
 	}
-	big := curve.N.Clone()
-	if Verify(curve, priv.Q, msg, &Signature{R: big, S: sig.S}) {
+	n, _ := curve.Order()
+	if Verify(curve, priv.Q, msg, &Signature{R: n.Clone(), S: sig.S}) {
 		t.Error("r = n accepted")
 	}
 	// Wrong public key.
@@ -130,7 +139,11 @@ func TestVerifyRejectsBadInputs(t *testing.T) {
 }
 
 func TestDeterministicSignatures(t *testing.T) {
-	curve := ec.NISTPrimeCurve("P-224", mp.PSNIST)
+	t.Run("P-192", func(t *testing.T) { deterministicSignatures(t, p192()) })
+	t.Run("B-163", func(t *testing.T) { deterministicSignatures(t, b163()) })
+}
+
+func deterministicSignatures[P, A any](t *testing.T, curve ec.Curve[P, A]) {
 	priv := GenerateKey(curve, []byte("det"))
 	msg := digestOf("same message")
 	s1, _ := Sign(priv, msg)

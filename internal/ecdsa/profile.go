@@ -15,136 +15,43 @@ import (
 // is safe to run concurrently as long as each goroutine uses its own
 // curve instance (the curve's field counters are per-instance state).
 type OpProfile struct {
-	Field     mp.OpCounters      // curve-field ops (prime curves)
-	Order     mp.OpCounters      // arithmetic modulo the group order
-	Point     ec.PointOpCounters // point doubles/adds
-	FieldBits int
-	OrderBits int
+	Field ec.FieldOps        // curve-field ops
+	Order mp.OpCounters      // arithmetic modulo the group order
+	Point ec.PointOpCounters // point doubles/adds
+}
+
+// profileOf snapshots the curve's counters, plus the order field's when
+// the operation used one.
+func profileOf[P, A any](curve ec.Curve[P, A], of *mp.Field) OpProfile {
+	var p OpProfile
+	p.Field, p.Point = curve.OpCounts()
+	if of != nil {
+		p.Order = of.Counters
+	}
+	return p
 }
 
 // ProfileKeyGen runs GenerateKey while recording the operation census —
 // one scalar base multiplication plus the deterministic seed hashing
 // (which contributes no field operations).
-func ProfileKeyGen(curve *ec.PrimeCurve, seed []byte) (*PrivateKey, OpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
+func ProfileKeyGen[P, A any](curve ec.Curve[P, A], seed []byte) (*PrivateKey[P, A], OpProfile) {
+	curve.ResetOpCounts()
 	priv := GenerateKey(curve, seed)
-	p := OpProfile{
-		Field:     curve.F.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}
-	return priv, p
+	return priv, profileOf(curve, nil)
 }
 
 // ProfileSign runs Sign while recording the operation census.
-func ProfileSign(priv *PrivateKey, digest []byte) (*Signature, OpProfile, error) {
-	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	of := newOrderField(curve.Name, curve.N, curve.NBits)
+func ProfileSign[P, A any](priv *PrivateKey[P, A], digest []byte) (*Signature, OpProfile, error) {
+	priv.Curve.ResetOpCounts()
+	of := newOrderField(priv.Curve)
 	sig, err := signWith(of, priv, digest)
-	p := OpProfile{
-		Field:     curve.F.Counters,
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}
-	return sig, p, err
+	return sig, profileOf(priv.Curve, of), err
 }
 
 // ProfileVerify runs Verify while recording the operation census.
-func ProfileVerify(curve *ec.PrimeCurve, pub *ec.AffinePoint, digest []byte, sig *Signature) (bool, OpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	of := newOrderField(curve.Name, curve.N, curve.NBits)
+func ProfileVerify[P, A any](curve ec.Curve[P, A], pub A, digest []byte, sig *Signature) (bool, OpProfile) {
+	curve.ResetOpCounts()
+	of := newOrderField(curve)
 	ok := verifyWith(of, curve, pub, digest, sig)
-	p := OpProfile{
-		Field:     curve.F.Counters,
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.Bits,
-		OrderBits: curve.NBits,
-	}
-	return ok, p
-}
-
-// BinaryOpProfile is the census for a binary-curve ECDSA operation; the
-// order arithmetic is still integer (prime-field) work (Section 2.1.4).
-type BinaryOpProfile struct {
-	Field     gf2OpCounters
-	Order     mp.OpCounters
-	Point     ec.PointOpCounters
-	FieldBits int
-	OrderBits int
-}
-
-// gf2OpCounters mirrors gf2.OpCounters without importing it here (the sim
-// layer converts); kept minimal.
-type gf2OpCounters struct {
-	Mul, Sqr, Add, Inv uint64
-}
-
-// binaryFieldCensus snapshots a binary curve's field counters — the one
-// place the gf2 counter set is flattened, so a new counted operation
-// cannot be picked up by some profilers and dropped by others.
-func binaryFieldCensus(curve *ec.BinaryCurve) gf2OpCounters {
-	return gf2OpCounters{
-		Mul: curve.F.Counters.Mul, Sqr: curve.F.Counters.Sqr,
-		Add: curve.F.Counters.Add, Inv: curve.F.Counters.Inv,
-	}
-}
-
-// ProfileKeyGenBinary runs GenerateBinaryKey while recording the census.
-func ProfileKeyGenBinary(curve *ec.BinaryCurve, seed []byte) (*BinaryPrivateKey, BinaryOpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	priv := GenerateBinaryKey(curve, seed)
-	p := BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}
-	return priv, p
-}
-
-// ProfileSignBinary runs SignBinary while recording the census.
-func ProfileSignBinary(priv *BinaryPrivateKey, digest []byte) (*Signature, BinaryOpProfile, error) {
-	curve := priv.Curve
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	of := newOrderField(curve.Name, binaryOrder(curve), curve.NBits)
-	sig, err := signBinaryWith(of, priv, digest)
-	p := BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}
-	return sig, p, err
-}
-
-// ProfileVerifyBinary runs VerifyBinary while recording the census.
-func ProfileVerifyBinary(curve *ec.BinaryCurve, pub *ec.BinaryAffinePoint, digest []byte, sig *Signature) (bool, BinaryOpProfile) {
-	curve.F.Counters.Reset()
-	curve.Ops.Reset()
-	of := newOrderField(curve.Name, binaryOrder(curve), curve.NBits)
-	ok := verifyBinaryWith(of, curve, pub, digest, sig)
-	p := BinaryOpProfile{
-		Field:     binaryFieldCensus(curve),
-		Order:     of.Counters,
-		Point:     curve.Ops,
-		FieldBits: curve.F.M,
-		OrderBits: curve.NBits,
-	}
-	return ok, p
-}
-
-// Mul / Sqr / Add / Inv accessors for the sim layer.
-func (c gf2OpCounters) Counts() (mul, sqr, add, inv uint64) {
-	return c.Mul, c.Sqr, c.Add, c.Inv
+	return ok, profileOf(curve, of)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/ec"
+	"repro/internal/ecdsa"
 	"repro/internal/energy"
 	"repro/internal/gf2"
 	"repro/internal/mp"
@@ -222,10 +223,24 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 	}
 	// validateOptions already rejected unknown workload names.
 	wl, _ := workloadByName(opt.Workload)
-	if IsPrimeCurve(curveName) {
-		return runPrime(arch, curveName, opt, wl)
+	fam, other := &primeFamily, &binaryFamily
+	if !IsPrimeCurve(curveName) {
+		fam, other = other, fam
 	}
-	return runBinary(arch, curveName, opt, wl)
+	if other.accel(arch) {
+		return Result{}, fmt.Errorf("sim: %s is a %s-field accelerator; cannot run %s",
+			other.accelName, other.name, curveName)
+	}
+	alg, profile := fam.profiler(arch, curveName, wl)
+	key := censusKey{curve: curveName, alg: fam.name + "/" + alg, workload: wl.name}
+	prof, err := censuses.get(key, profile)
+	if err != nil {
+		return Result{}, err
+	}
+	fieldCosts := fam.costs(arch, curveName, prof.bits, prof.k, opt)
+	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
+	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, fam.accel(arch))
+	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
 }
 
 // MustRun is Run that panics on error (harness use).
@@ -242,79 +257,52 @@ func digest() []byte {
 	return d[:]
 }
 
-// primeMulAlg maps an architecture to the multiplication algorithm its
-// prime-field software stack uses — the only way an arch can influence a
-// census, which is why the census memo keys on the alg instead of the
-// arch.
-func primeMulAlg(arch Arch) mp.MulAlg {
-	switch arch {
-	case Baseline, BaselineCache:
-		return mp.OSNIST
-	case ISAExt, ISAExtCache:
-		return mp.PSNIST
-	default:
-		return mp.CIOS
-	}
+// curveFamily is what Run needs to know about one curve family. The
+// profiling, pricing and assembly paths are shared; only these differ.
+type curveFamily struct {
+	name      string          // census-key prefix and error wording
+	accelName string          // the family's accelerator
+	accel     func(Arch) bool // arch carries that accelerator
+	costs     func(arch Arch, fieldName string, bits, k int, opt Options) FieldCosts
+	// profiler names the field multiplication algorithm arch's software
+	// stack uses — the only way an arch can influence a census, which is
+	// why the census memo keys on the alg instead of the arch — and
+	// returns the function that profiles wl on the named curve with it.
+	profiler func(arch Arch, curve string, wl workloadDef) (alg string, profile func() (censusProfile, error))
 }
 
-// binaryMulAlg is primeMulAlg's binary-field twin.
-func binaryMulAlg(arch Arch) gf2.MulAlg {
-	if arch == Baseline || arch == BaselineCache {
-		return gf2.Comb
-	}
-	return gf2.CLMul
-}
-
-func runPrime(arch Arch, curveName string, opt Options, wl workloadDef) (Result, error) {
-	if arch == WithBillie {
-		return Result{}, fmt.Errorf("sim: Billie is a binary-field accelerator; cannot run %s", curveName)
-	}
-	alg := primeMulAlg(arch)
-	key := censusKey{curve: curveName, alg: "prime/" + alg.String(), workload: wl.name}
-	prof, err := censuses.get(key, func() (censusProfile, error) {
-		curve := ec.NISTPrimeCurve(curveName, alg)
-		phases, err := profilePrimeWorkload(curve, wl)
-		if err != nil {
-			return censusProfile{}, err
+var primeFamily = curveFamily{
+	name: "prime", accelName: "Monte", accel: Arch.HasMonte, costs: PrimeFieldCosts,
+	profiler: func(arch Arch, curve string, wl workloadDef) (string, func() (censusProfile, error)) {
+		alg := mp.CIOS
+		switch arch {
+		case Baseline, BaselineCache:
+			alg = mp.OSNIST
+		case ISAExt, ISAExtCache:
+			alg = mp.PSNIST
 		}
-		return censusProfile{phases: phases, k: curve.F.K, bits: curve.F.Bits, nbits: curve.NBits}, nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	fieldCosts := PrimeFieldCosts(arch, curveName, prof.bits, prof.k, opt)
-	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
-
-	accel := arch.HasMonte()
-	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, accel)
-	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
+		return alg.String(), func() (censusProfile, error) {
+			c := ec.NISTPrimeCurve(curve, alg)
+			phases, err := profileWorkload(c, curve, wl)
+			return censusProfile{phases: phases, k: c.F.K, bits: c.F.Bits, nbits: c.NBits}, err
+		}
+	},
 }
 
-func runBinary(arch Arch, curveName string, opt Options, wl workloadDef) (Result, error) {
-	if arch.HasMonte() {
-		return Result{}, fmt.Errorf("sim: Monte is a prime-field accelerator; cannot run %s", curveName)
-	}
-	alg := binaryMulAlg(arch)
-	key := censusKey{curve: curveName, alg: "binary/" + alg.String(), workload: wl.name}
-	prof, err := censuses.get(key, func() (censusProfile, error) {
-		curve := ec.NISTBinaryCurve(curveName, alg)
-		phases, err := profileBinaryWorkload(curve, wl)
-		if err != nil {
-			return censusProfile{}, err
+var binaryFamily = curveFamily{
+	name: "binary", accelName: "Billie", costs: BinaryFieldCosts,
+	accel: func(arch Arch) bool { return arch == WithBillie },
+	profiler: func(arch Arch, curve string, wl workloadDef) (string, func() (censusProfile, error)) {
+		alg := gf2.CLMul
+		if arch == Baseline || arch == BaselineCache {
+			alg = gf2.Comb
 		}
-		return censusProfile{phases: phases, k: curve.F.K, bits: curve.F.M, nbits: curve.NBits}, nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	fieldCosts := BinaryFieldCosts(arch, curveName, prof.bits, prof.k, opt)
-	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
-
-	accel := arch == WithBillie
-	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, accel)
-	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
+		return alg.String(), func() (censusProfile, error) {
+			c := ec.NISTBinaryCurve(curve, alg)
+			phases, err := profileWorkload(c, curve, wl)
+			return censusProfile{phases: phases, k: c.F.K, bits: c.F.M, nbits: c.NBits}, err
+		}
+	},
 }
 
 // orderCostsFor prices group-order (protocol) arithmetic, which always
@@ -347,11 +335,11 @@ func orderCostsFor(arch Arch, curveName string, nbits int, opt Options) FieldCos
 // goes through. Every phase carries the fixed protocol overhead
 // (hashing, nonce/seed derivation, glue), small next to its scalar
 // multiplication.
-func priceCensus(c opCensus, fc, oc FieldCosts, accel bool) tally {
+func priceCensus(c ecdsa.OpProfile, fc, oc FieldCosts, accel bool) tally {
 	var t tally
-	priceFieldOps(&t, fc, c.mul, c.sqr, c.add, c.sub, c.inv)
-	priceFieldOps(&t, oc, c.order.Mul, c.order.Sqr, c.order.Add, c.order.Sub, c.order.Inv)
-	t.pricePointOps(c.point, accel)
+	priceFieldOps(&t, fc, c.Field.Mul, c.Field.Sqr, c.Field.Add, c.Field.Sub, c.Field.Inv)
+	priceFieldOps(&t, oc, c.Order.Mul, c.Order.Sqr, c.Order.Add, c.Order.Sub, c.Order.Inv)
+	t.pricePointOps(c.Point, accel)
 	t.addOverhead(ecdsaFixedOverheadCycles)
 	return t
 }

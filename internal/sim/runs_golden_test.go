@@ -30,9 +30,9 @@ const runsGoldenPath = "testdata/runs.golden"
 // gf2.MulAlg for binary ones).
 func goldenCensus(curve string, alg fmt.Stringer, wl workloadDef) ([]profiledPhase, error) {
 	if a, ok := alg.(mp.MulAlg); ok {
-		return profilePrimeWorkload(ec.NISTPrimeCurve(curve, a), wl)
+		return profileWorkload(ec.NISTPrimeCurve(curve, a), curve, wl)
 	}
-	return profileBinaryWorkload(ec.NISTBinaryCurve(curve, alg.(gf2.MulAlg)), wl)
+	return profileWorkload(ec.NISTBinaryCurve(curve, alg.(gf2.MulAlg)), curve, wl)
 }
 
 func renderRunsGolden() (string, error) {
@@ -49,13 +49,13 @@ func renderRunsGolden() (string, error) {
 					return "", fmt.Errorf("census %s/%s/%s: %w", curve, alg, wl.name, err)
 				}
 				for _, p := range phases {
-					c := p.census
+					f := p.census.Field
 					fmt.Fprintf(&b, "census %s %s %s %s field mul=%d sqr=%d add=%d sub=%d inv=%d",
-						curve, alg, wl.name, p.name, c.mul, c.sqr, c.add, c.sub, c.inv)
-					o := c.order
+						curve, alg, wl.name, p.name, f.Mul, f.Sqr, f.Add, f.Sub, f.Inv)
+					o := p.census.Order
 					fmt.Fprintf(&b, " order mul=%d sqr=%d add=%d sub=%d inv=%d red=%d",
 						o.Mul, o.Sqr, o.Add, o.Sub, o.Inv, o.Red)
-					pt := c.point
+					pt := p.census.Point
 					fmt.Fprintf(&b, " point dbl=%d add=%d neg=%d toaffine=%d\n",
 						pt.Dbl, pt.Add, pt.Neg, pt.ToAffine)
 				}

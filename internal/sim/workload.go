@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ec"
 	"repro/internal/ecdsa"
-	"repro/internal/mp"
 )
 
 // A workload is a named list of profiled phases. Each phase executes a
@@ -98,43 +97,19 @@ func workloadByName(name string) (workloadDef, bool) {
 	return workloadDef{}, false
 }
 
-// opCensus is the family-neutral operation census of one profiled phase:
-// curve-field operations, group-order ("protocol") operations, and point
-// operations. Prime and binary profiles both flatten into it, so a single
-// pricing path serves both curve families.
-type opCensus struct {
-	mul, sqr, add, sub, inv uint64 // curve-field ops
-	order                   mp.OpCounters
-	point                   ec.PointOpCounters
-}
-
-func censusOf(p ecdsa.OpProfile) opCensus {
-	return opCensus{
-		mul: p.Field.Mul, sqr: p.Field.Sqr, add: p.Field.Add,
-		sub: p.Field.Sub, inv: p.Field.Inv,
-		order: p.Order, point: p.Point,
-	}
-}
-
-func censusOfBinary(p ecdsa.BinaryOpProfile) opCensus {
-	mul, sqr, add, inv := p.Field.Counts()
-	return opCensus{
-		mul: mul, sqr: sqr, add: add, inv: inv,
-		order: p.Order, point: p.Point,
-	}
-}
-
 // profiledPhase is one executed, profiled workload phase awaiting pricing.
+// Its census is family-neutral, so a single pricing path serves both
+// curve families.
 type profiledPhase struct {
 	name   string
-	census opCensus
+	census ecdsa.OpProfile
 }
 
-// profilePrimeWorkload executes every phase of the workload functionally
-// on a prime curve and returns the per-phase censuses.
-func profilePrimeWorkload(curve *ec.PrimeCurve, wl workloadDef) ([]profiledPhase, error) {
-	seed := []byte("sim-key-" + curve.Name)
-	var priv *ecdsa.PrivateKey
+// profileWorkload executes every phase of the workload functionally on
+// the named curve and returns the per-phase censuses.
+func profileWorkload[P, A any](curve ec.Curve[P, A], curveName string, wl workloadDef) ([]profiledPhase, error) {
+	seed := []byte("sim-key-" + curveName)
+	var priv *ecdsa.PrivateKey[P, A]
 	ensureKey := func() {
 		if priv == nil {
 			priv = ecdsa.GenerateKey(curve, seed)
@@ -148,114 +123,43 @@ func profilePrimeWorkload(curve *ec.PrimeCurve, wl workloadDef) ([]profiledPhase
 		if reg != nil {
 			phaseStart = time.Now()
 		}
-		var census opCensus
+		var census ecdsa.OpProfile
 		switch ph {
 		case PhaseKeyGen:
-			var prof ecdsa.OpProfile
-			priv, prof = ecdsa.ProfileKeyGen(curve, seed)
-			census = censusOf(prof)
+			priv, census = ecdsa.ProfileKeyGen(curve, seed)
 		case PhaseECDH:
 			ensureKey()
 			// The peer's half runs un-profiled first: only the device
 			// side is priced, but both sides must really agree.
-			peer := ecdsa.GenerateKey(curve, []byte("sim-peer-"+curve.Name))
+			peer := ecdsa.GenerateKey(curve, []byte("sim-peer-"+curveName))
 			peerKey, err := ecdsa.ECDH(peer, priv.Q)
 			if err != nil {
 				return nil, err
 			}
-			key, prof, err := ecdsa.ECDHProfile(priv, peer.Q)
+			var key []byte
+			key, census, err = ecdsa.ECDHProfile(priv, peer.Q)
 			if err != nil {
 				return nil, err
 			}
 			if string(key) != string(peerKey) {
-				return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
+				return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curveName)
 			}
-			census = censusOf(prof)
 		case PhaseSign:
 			ensureKey()
-			var prof ecdsa.OpProfile
 			var err error
-			sig, prof, err = ecdsa.ProfileSign(priv, digest())
+			sig, census, err = ecdsa.ProfileSign(priv, digest())
 			if err != nil {
 				return nil, err
 			}
-			census = censusOf(prof)
 		case PhaseVerify:
 			if priv == nil || sig == nil {
 				return nil, fmt.Errorf("sim: workload %q verifies before signing", wl.name)
 			}
-			ok, prof := ecdsa.ProfileVerify(curve, priv.Q, digest(), sig)
+			var ok bool
+			ok, census = ecdsa.ProfileVerify(curve, priv.Q, digest(), sig)
 			if !ok {
-				return nil, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
+				return nil, fmt.Errorf("sim: functional verification failed on %s", curveName)
 			}
-			census = censusOf(prof)
-		default:
-			return nil, fmt.Errorf("sim: unknown workload phase %q", ph)
-		}
-		if reg != nil {
-			reg.Histogram("sim.profile." + ph).Observe(time.Since(phaseStart))
-		}
-		phases = append(phases, profiledPhase{name: ph, census: census})
-	}
-	return phases, nil
-}
-
-// profileBinaryWorkload is the binary-curve twin of profilePrimeWorkload.
-func profileBinaryWorkload(curve *ec.BinaryCurve, wl workloadDef) ([]profiledPhase, error) {
-	seed := []byte("sim-key-" + curve.Name)
-	var priv *ecdsa.BinaryPrivateKey
-	ensureKey := func() {
-		if priv == nil {
-			priv = ecdsa.GenerateBinaryKey(curve, seed)
-		}
-	}
-	var sig *ecdsa.Signature
-	reg := metrics()
-	phases := make([]profiledPhase, 0, len(wl.phases))
-	for _, ph := range wl.phases {
-		var phaseStart time.Time
-		if reg != nil {
-			phaseStart = time.Now()
-		}
-		var census opCensus
-		switch ph {
-		case PhaseKeyGen:
-			var prof ecdsa.BinaryOpProfile
-			priv, prof = ecdsa.ProfileKeyGenBinary(curve, seed)
-			census = censusOfBinary(prof)
-		case PhaseECDH:
-			ensureKey()
-			peer := ecdsa.GenerateBinaryKey(curve, []byte("sim-peer-"+curve.Name))
-			peerKey, err := ecdsa.ECDHBinary(peer, priv.Q)
-			if err != nil {
-				return nil, err
-			}
-			key, prof, err := ecdsa.ECDHProfileBinary(priv, peer.Q)
-			if err != nil {
-				return nil, err
-			}
-			if string(key) != string(peerKey) {
-				return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curve.Name)
-			}
-			census = censusOfBinary(prof)
-		case PhaseSign:
-			ensureKey()
-			var prof ecdsa.BinaryOpProfile
-			var err error
-			sig, prof, err = ecdsa.ProfileSignBinary(priv, digest())
-			if err != nil {
-				return nil, err
-			}
-			census = censusOfBinary(prof)
-		case PhaseVerify:
-			if priv == nil || sig == nil {
-				return nil, fmt.Errorf("sim: workload %q verifies before signing", wl.name)
-			}
-			ok, prof := ecdsa.ProfileVerifyBinary(curve, priv.Q, digest(), sig)
-			if !ok {
-				return nil, fmt.Errorf("sim: functional verification failed on %s", curve.Name)
-			}
-			census = censusOfBinary(prof)
 		default:
 			return nil, fmt.Errorf("sim: unknown workload phase %q", ph)
 		}

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"repro/internal/dse"
 	"repro/internal/ec"
@@ -126,63 +127,54 @@ func CurveNames() []string {
 // Curve is a unified handle over prime and binary NIST curves.
 type Curve struct {
 	name   string
-	prime  *ec.PrimeCurve
-	binary *ec.BinaryCurve
+	nbits  int
+	newKey func(seed []byte) *Key
 }
 
 // NewCurve returns a named NIST curve ("P-192".."P-521", "B-163".."B-571").
 func NewCurve(name string) (*Curve, error) {
-	if sim.IsPrimeCurve(name) {
-		for _, n := range ec.PrimeCurveNames {
-			if n == name {
-				return &Curve{name: name, prime: ec.NISTPrimeCurve(name, mp.PSNIST)}, nil
-			}
-		}
-	}
-	for _, n := range ec.BinaryCurveNames {
-		if n == name {
-			return &Curve{name: name, binary: ec.NISTBinaryCurve(name, gf2.CLMul)}, nil
-		}
+	switch {
+	case slices.Contains(ec.PrimeCurveNames, name):
+		return curveOf(name, ec.NISTPrimeCurve(name, mp.PSNIST)), nil
+	case slices.Contains(ec.BinaryCurveNames, name):
+		return curveOf(name, ec.NISTBinaryCurve(name, gf2.CLMul)), nil
 	}
 	return nil, fmt.Errorf("repro: unknown curve %q", name)
+}
+
+// curveOf wraps one ec curve of either family.
+func curveOf[P, A any](name string, curve ec.Curve[P, A]) *Curve {
+	_, nbits := curve.Order()
+	return &Curve{name: name, nbits: nbits, newKey: func(seed []byte) *Key {
+		priv := ecdsa.GenerateKey(curve, seed)
+		return &Key{
+			sign: func(digest []byte) (*ecdsa.Signature, error) { return ecdsa.Sign(priv, digest) },
+			verify: func(digest []byte, sig *ecdsa.Signature) bool {
+				return ecdsa.Verify(curve, priv.Q, digest, sig)
+			},
+		}
+	}}
 }
 
 // Name returns the curve name.
 func (c *Curve) Name() string { return c.name }
 
 // IsBinary reports whether the curve is a GF(2^m) curve.
-func (c *Curve) IsBinary() bool { return c.binary != nil }
+func (c *Curve) IsBinary() bool { return !sim.IsPrimeCurve(c.name) }
 
 // SecurityBits returns the approximate symmetric-equivalent security.
-func (c *Curve) SecurityBits() int {
-	var n int
-	if c.prime != nil {
-		n = c.prime.NBits
-	} else {
-		n = c.binary.NBits
-	}
-	return n / 2
-}
+func (c *Curve) SecurityBits() int { return c.nbits / 2 }
 
 // Key is an ECDSA key pair on either curve family.
 type Key struct {
-	curve  *Curve
-	prime  *ecdsa.PrivateKey
-	binary *ecdsa.BinaryPrivateKey
+	sign   func(digest []byte) (*ecdsa.Signature, error)
+	verify func(digest []byte, sig *ecdsa.Signature) bool
 }
 
 // GenerateKey derives a deterministic key pair from seed material (the
 // simulated device has no OS entropy source, matching the paper's
 // bare-metal environment).
-func (c *Curve) GenerateKey(seed []byte) *Key {
-	k := &Key{curve: c}
-	if c.prime != nil {
-		k.prime = ecdsa.GenerateKey(c.prime, seed)
-	} else {
-		k.binary = ecdsa.GenerateBinaryKey(c.binary, seed)
-	}
-	return k
-}
+func (c *Curve) GenerateKey(seed []byte) *Key { return c.newKey(seed) }
 
 // Signature is an ECDSA (r, s) pair rendered as hex strings.
 type Signature struct {
@@ -193,13 +185,7 @@ type Signature struct {
 // Sign produces an ECDSA signature over a message digest (e.g. a SHA-256
 // sum).
 func (k *Key) Sign(digest []byte) (*Signature, error) {
-	var sig *ecdsa.Signature
-	var err error
-	if k.prime != nil {
-		sig, err = ecdsa.Sign(k.prime, digest)
-	} else {
-		sig, err = ecdsa.SignBinary(k.binary, digest)
-	}
+	sig, err := k.sign(digest)
 	if err != nil {
 		return nil, err
 	}
@@ -208,13 +194,7 @@ func (k *Key) Sign(digest []byte) (*Signature, error) {
 
 // Verify checks a signature over digest against this key's public point.
 func (k *Key) Verify(digest []byte, sig *Signature) bool {
-	if sig == nil || sig.raw == nil {
-		return false
-	}
-	if k.prime != nil {
-		return ecdsa.Verify(k.prime.Curve, k.prime.Q, digest, sig.raw)
-	}
-	return ecdsa.VerifyBinary(k.binary.Curve, k.binary.Q, digest, sig.raw)
+	return sig != nil && sig.raw != nil && k.verify(digest, sig.raw)
 }
 
 // Simulate prices one ECDSA Sign+Verify on the given architecture and

@@ -57,6 +57,25 @@ func TestVerifyNilSignature(t *testing.T) {
 	}
 }
 
+// A signature made on a curve of another size must be rejected, not
+// panic, whether its words are fewer or more than the key's order has.
+func TestVerifyCrossSizeSignature(t *testing.T) {
+	d := sha256.Sum256([]byte("cross-size"))
+	for _, pair := range [][2]string{
+		{"P-192", "P-521"}, {"P-521", "P-192"}, {"B-163", "B-571"}, {"B-571", "B-163"},
+	} {
+		signer, _ := NewCurve(pair[0])
+		verifier, _ := NewCurve(pair[1])
+		sig, err := signer.GenerateKey([]byte("signer")).Sign(d[:])
+		if err != nil {
+			t.Fatalf("%s: sign: %v", pair[0], err)
+		}
+		if verifier.GenerateKey([]byte("verifier")).Verify(d[:], sig) {
+			t.Errorf("%s signature accepted by a %s key", pair[0], pair[1])
+		}
+	}
+}
+
 func TestSimulateAllConfigs(t *testing.T) {
 	opt := DefaultOptions()
 	cases := []struct {
