@@ -199,9 +199,9 @@ func verifyWith[P, A any](of *mp.Field, curve ec.Curve[P, A], pub A, digest []by
 		mp.Cmp(sig.R, n) >= 0 || mp.Cmp(sig.S, n) >= 0 {
 		return false
 	}
-	// Both are below n, so widening or narrowing them to n's word count
-	// is exact: a signature made on a curve of another size then fails
-	// verification instead of indexing past the order field's words.
+	// The order-field arithmetic needs operands of exactly n's word
+	// count, which a signature made on a curve of another size lacks;
+	// both are below n, so copying them to that width is exact.
 	r, s := mp.New(len(n)), mp.New(len(n))
 	copy(r, sig.R)
 	copy(s, sig.S)
