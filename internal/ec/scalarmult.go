@@ -113,8 +113,8 @@ func addSmall(v mp.Int, d uint32) {
 const WindowWidth = 4
 
 // ScalarMult computes x·P on either curve family with the signed
-// sliding-window method (point subtraction costs the same as addition on
-// both families, Section 4.1).
+// sliding-window method (point subtraction is "only marginally more
+// costly than addition" on both families, Section 4.1).
 func ScalarMult[P, A any](c Curve[P, A], x mp.Int, p A) A {
 	digits := wnaf(x, WindowWidth)
 	// Precompute odd multiples P, 3P, 5P, 7P (affine, via the cheap
