@@ -3,6 +3,7 @@ package dse
 import (
 	"encoding/json"
 	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -157,6 +158,40 @@ func TestRegisterAxisFlags(t *testing.T) {
 	ref := Config{Arch: sim.WithMonte, Curve: "P-192", Opt: sim.DefaultOptions()}
 	if cfg.Hash() != ref.Hash() {
 		t.Errorf("default flags are not the default configuration:\n  %s\n  %s", cfg.Key(), ref.Key())
+	}
+}
+
+// cliGoldenPath pins the generated CLI surface: the flag defaults of
+// the dimension and option axes followed by the -list axis help.
+const cliGoldenPath = "testdata/cli.golden"
+
+// TestCLIGolden pins every generated flag's name, type, default and
+// usage plus the AxesHelp text byte-for-byte, so a registry refactor
+// cannot drift the CLI (the -line default of 16, the inverted
+// -no-double-buffer, the -cache default of 4096). Regenerate with
+//
+//	go test ./internal/dse/ -run TestCLIGolden -update
+func TestCLIGolden(t *testing.T) {
+	fs := flag.NewFlagSet("dse", flag.ContinueOnError)
+	RegisterDimensionFlags(fs)
+	RegisterAxisFlags(fs)
+	var b strings.Builder
+	fs.SetOutput(&b)
+	fs.PrintDefaults()
+	b.WriteString(AxesHelp())
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(cliGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(cliGoldenPath)
+	if err != nil {
+		t.Fatalf("missing CLI golden (regenerate with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("generated CLI surface drifted from %s:\n--- got\n%s--- want\n%s", cliGoldenPath, got, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the FullSweep manifest golden under testdata/")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/ (FullSweep manifest, CLI surface)")
 
 // manifestPath is the checked-in FullSweep hash manifest: one line per
 // expanded configuration, "<hash>  <canonical key>", in specification
