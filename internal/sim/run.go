@@ -199,6 +199,9 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 			reg.Counter("sim.runs").Inc()
 		}(time.Now())
 	}
+	if err := CheckArch(arch); err != nil {
+		return Result{}, fmt.Errorf("sim: %w", err)
+	}
 	if !ec.KnownCurve(curveName) {
 		return Result{}, fmt.Errorf("sim: unknown curve %q", curveName)
 	}

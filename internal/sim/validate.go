@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/energy"
 )
@@ -13,6 +14,20 @@ import (
 // arrives through sim.Run, a sweep axis, or a CLI flag. The returned
 // errors carry no package prefix — callers wrap them with their own
 // ("sim:", "dse:") so the source of the rejection stays visible.
+
+// CheckArch rejects values that are not a declared Arch constant: the
+// five evaluated architectures plus the baseline+icache and
+// monte+icache study configurations.
+func CheckArch(a Arch) error {
+	if a < Baseline || a > MonteCache {
+		names := make([]string, 0, MonteCache+1)
+		for k := Baseline; k <= MonteCache; k++ {
+			names = append(names, k.String())
+		}
+		return fmt.Errorf("unknown architecture %s (want one of: %s)", a, strings.Join(names, ", "))
+	}
+	return nil
+}
 
 // CheckCacheBytes rejects I-cache capacities outside the modeled range.
 func CheckCacheBytes(b int) error {
