@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -357,7 +356,7 @@ func (st *adaptiveState) add(c Config) {
 	// reproduces is enumerated over the spec's values instead.
 	for _, i := range optIdx {
 		ax := axes[i]
-		if ax.relevant != nil && !ax.relevant(&c) {
+		if !ax.relevant(&c) {
 			continue
 		}
 		if axisValueIndex(ax, c, st.vals[i]) >= 0 {
@@ -383,7 +382,7 @@ func (st *adaptiveState) add(c Config) {
 // seedCoarse queues round 0: for each valid (arch, curve) pair, the
 // cross-product of each arch-relevant option axis's coarse value set —
 // the endpoints of ordered axes, the full domain of enumerated ones —
-// mirroring Expand's relevance-factored odometer.
+// walked by Expand's relevance-factored odometer.
 func (st *adaptiveState) seedCoarse() {
 	coarse := make([][]axisValue, len(axes))
 	for i, ax := range axes {
@@ -393,48 +392,7 @@ func (st *adaptiveState) seedCoarse() {
 		}
 		coarse[i] = vs
 	}
-	live := make([]int, 0, len(optIdx))
-	idx := make([]int, len(axes))
-	var scratch Config
-	lastArch := sim.Arch(-1)
-	forEachDimension(st.vals, func(dim *Config) {
-		if dim.Arch != lastArch {
-			lastArch = dim.Arch
-			live = live[:0]
-			for _, i := range optIdx {
-				ax := axes[i]
-				if ax.archRelevant == nil || ax.archRelevant(dim.Arch) {
-					live = append(live, i)
-				}
-			}
-		}
-		if !dim.Valid() {
-			return
-		}
-		for _, i := range optIdx {
-			idx[i] = 0
-		}
-		for {
-			scratch = *dim
-			for _, i := range live {
-				axes[i].set(&scratch, coarse[i][idx[i]])
-			}
-			st.add(scratch)
-			k := len(live) - 1
-			for k >= 0 {
-				i := live[k]
-				idx[i]++
-				if idx[i] < len(coarse[i]) {
-					break
-				}
-				idx[i] = 0
-				k--
-			}
-			if k < 0 {
-				break
-			}
-		}
-	})
+	forEachFactored(coarse, func(c *Config) { st.add(*c) })
 }
 
 // neighborsOf proposes the refinement candidates around one frontier
@@ -451,7 +409,7 @@ func (st *adaptiveState) neighborsOf(cfg Config) {
 		if len(vs) < 2 {
 			continue
 		}
-		if ax.relevant != nil && !ax.relevant(&cfg) {
+		if !ax.relevant(&cfg) {
 			continue
 		}
 		cur := axisValueIndex(ax, cfg, vs)
@@ -505,7 +463,7 @@ func (st *adaptiveState) observePrunes(points []Point, byKey map[string]Point) {
 		}
 		for _, p := range points {
 			cfg := p.Config
-			if ax.relevant != nil && !ax.relevant(&cfg) {
+			if !ax.relevant(&cfg) {
 				continue
 			}
 			cur := axisValueIndex(ax, cfg, vs)

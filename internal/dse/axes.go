@@ -29,30 +29,37 @@ import (
 //     Config.Curve rather than an Options field, render the leading key
 //     tokens, own the cross-dimension validity rule (validWith), and
 //     surface on the CLI as selection flags (-arch, -curve) with a
-//     declared parse/format rather than through RegisterAxisFlags.
+//     declared parser rather than through RegisterAxisFlags.
 //   - Option axes identify *how* it is configured — every tuning knob.
 //     They write one sim.Options field each and surface through
 //     RegisterAxisFlags.
 //
+// An int or bool option axis is declared as a knob: its key token, its
+// one default, whether that default is elided from the key, its
+// sim.Check* domain check, its architecture relevance bound plus an
+// optional value-level collapse, and accessors for its sim.Options,
+// SweepSpec and PointJSON fields. intOption and boolOption derive every
+// other closure from that declaration — defaulting, value boxing,
+// canonicalization, relevance, clearing, key token, JSON and CLI flag —
+// so only the label and the Strategy block are written per knob. The
+// workload axis (a string) and the two dimensions are hand-written.
+//
 // Adding an option axis therefore means: one field on sim.Options (with
 // its model), one slice field on SweepSpec, one field on PointJSON, and
-// one entry below. Nothing else in the repository names the knob. The
-// CacheLineBytes axis is the proof: it was added through this registry
-// alone. Registry order is load-bearing twice over: it is the canonical
-// key token order (changing it changes every config hash) and the
-// Expand odometer order (last entry varies fastest). Dimension axes
-// MUST come first — they render the "arch=… curve=…" key prefix every
-// stored hash starts from; TestRegistryOrderPinned enforces both
-// invariants by name.
+// one knob below. Nothing else in the repository names the knob.
+// Registry order is load-bearing twice over: it is the canonical key
+// token order (changing it changes every config hash) and the Expand
+// odometer order (last entry varies fastest). Dimension axes MUST come
+// first — they render the "arch=… curve=…" key prefix every stored hash
+// starts from; TestRegistryOrderPinned enforces both invariants by
+// name.
 //
-// A new axis MUST declare its archRelevant predicate alongside
-// relevant. Factored expansion only enumerates an axis on the
-// architectures its archRelevant admits; an axis that omits the
-// predicate is treated as possibly relevant everywhere and multiplies
-// every architecture's factored grid — Baseline's 1-point sweep
-// becomes N points. The predicate must over-approximate relevant
-// (never be false where relevant can be true); the factored-vs-brute
-// equivalence tests catch a violation.
+// A knob MUST declare its architecture relevance bound. Factored
+// expansion only enumerates an axis on the architectures the bound
+// admits; an axis without one is treated as relevant everywhere and
+// multiplies every architecture's factored grid — Baseline's 1-point
+// sweep becomes N points. Relevance is derived as the bound minus the
+// collapse, so it can never exceed the bound the expansion factors by.
 //
 // Every axis MUST also declare its Strategy block — the scale hint and
 // monotone-prunability flag adaptive exploration strategies read to
@@ -98,37 +105,25 @@ type Axis struct {
 	// set writes one value into the config (a dimension field or one
 	// sim.Options field).
 	set func(c *Config, v axisValue)
-
-	// parse converts one CLI string into an axis value, rejecting
+	// parse converts one CLI string into a dimension value, rejecting
 	// out-of-domain input with an error that lists the valid values.
-	// Declared by dimension axes (option axes parse through the typed
-	// flag machinery in RegisterAxisFlags).
 	parse func(s string) (axisValue, error)
-	// format renders one axis value as its canonical CLI spelling (the
-	// inverse of parse).
-	format func(v axisValue) string
 
 	// canon rewrites the axis value toward its canonical form
 	// (zero-value → default, or default → elided zero); nil means the
 	// zero value is already canonical. It reads and writes only the
 	// axis's own field.
 	canon func(c *Config)
-	// relevant reports whether the knob physically exists on the
-	// config's architecture (evaluated after every canon has run); nil
-	// means always relevant.
-	relevant func(c *Config) bool
-	// archRelevant is the architecture-level upper bound of relevant:
-	// false means no configuration on that architecture can ever have
-	// the knob relevant, so factored expansion pins the axis at its
-	// cleared value instead of enumerating it. nil means possibly
-	// relevant everywhere. It must over-approximate relevant —
-	// relevant(c) implies archRelevant(c.Arch) — never refine it; a
-	// value-conditional predicate (the prefetcher is irrelevant under
-	// an ideal cache) keeps its arch-level bound here and collapses in
-	// Canonical. The factored-vs-brute equivalence tests enforce the
-	// bound; an axis that omits it merely multiplies every
-	// architecture's factored grid, it cannot produce wrong configs.
+	// archRelevant is the architecture-level relevance bound: false
+	// means no configuration on that architecture has the knob, so
+	// Canonical clears it and factored expansion pins it at its cleared
+	// value instead of enumerating it. nil means relevant everywhere.
 	archRelevant func(a sim.Arch) bool
+	// collapse reports a value-level reason the knob is absent on a
+	// config its architecture admits (a never-miss cache has nothing to
+	// prefetch or fill); nil means none. Expansion cannot factor it out,
+	// so it collapses in Canonical instead.
+	collapse func(c *Config) bool
 	// clear forces the knob to its irrelevant zero value.
 	clear func(c *Config)
 
@@ -155,6 +150,18 @@ type Axis struct {
 	label func(c *Config) (frag string, attach bool)
 	// toJSON copies the canonical axis value into the wire form.
 	toJSON func(c *Config, j *PointJSON)
+	// bind registers an option axis's CLI flag f on fs and returns the
+	// function that copies the parsed value into an Options.
+	bind func(fs *flag.FlagSet, f FlagSpec) func(o *sim.Options)
+}
+
+// relevant reports whether the knob physically exists on the config
+// (evaluated after every canon has run): its architecture bound admits
+// it and no value-level collapse applies. Being derived from
+// archRelevant, it can never be true where the bound is false.
+func (ax *Axis) relevant(c *Config) bool {
+	return (ax.archRelevant == nil || ax.archRelevant(c.Arch)) &&
+		(ax.collapse == nil || !ax.collapse(c))
 }
 
 // Scale is an axis's search-scale hint: how an adaptive exploration
@@ -217,61 +224,18 @@ type Strategy struct {
 // axisValue carries one axis value through the expansion inner loop
 // without boxing: the odometer used to build one interface value per
 // axis per raw point (3.9 M allocations on a FullSweep expansion); a
-// small tagged struct is copied instead. The tag reuses the FlagKind
-// discriminants; the arch dimension rides in the int field as the
-// sim.Arch ordinal.
+// small struct is copied instead. Int knobs and the arch dimension (as
+// its sim.Arch ordinal) ride in i, bool knobs in b, names in s.
 type axisValue struct {
-	kind FlagKind
-	i    int
-	b    bool
-	s    string
+	i int
+	b bool
+	s string
 }
 
-func intVal(v int) axisValue       { return axisValue{kind: FlagInt, i: v} }
-func boolVal(v bool) axisValue     { return axisValue{kind: FlagBool, b: v} }
-func stringVal(v string) axisValue { return axisValue{kind: FlagString, s: v} }
-
-// archVal carries a sim.Arch as an axis value (ordinal in the int
-// field; the CLI-facing form is the string name via parse/format).
-func archVal(a sim.Arch) axisValue { return axisValue{kind: FlagInt, i: int(a)} }
-
-// FlagKind selects the CLI flag type generated for an axis.
-type FlagKind int
-
-const (
-	FlagInt FlagKind = iota
-	FlagBool
-	FlagString
-)
-
-// FlagSpec declares an axis's CLI flag.
-type FlagSpec struct {
-	Name      string
-	Usage     string
-	Kind      FlagKind
-	DefInt    int
-	DefBool   bool
-	DefString string
-	// Invert makes a bool flag mean the opposite of the option value
-	// (-no-double-buffer sets DoubleBuffer=false).
-	Invert bool
-}
-
-func intVals(vs []int) []axisValue {
-	out := make([]axisValue, len(vs))
-	for i, v := range vs {
-		out[i] = intVal(v)
-	}
-	return out
-}
-
-func boolVals(vs []bool) []axisValue {
-	out := make([]axisValue, len(vs))
-	for i, v := range vs {
-		out[i] = boolVal(v)
-	}
-	return out
-}
+func intVal(v int) axisValue       { return axisValue{i: v} }
+func boolVal(v bool) axisValue     { return axisValue{b: v} }
+func stringVal(v string) axisValue { return axisValue{s: v} }
+func archVal(a sim.Arch) axisValue { return axisValue{i: int(a)} }
 
 func stringVals(vs []string) []axisValue {
 	out := make([]axisValue, len(vs))
@@ -280,6 +244,124 @@ func stringVals(vs []string) []axisValue {
 	}
 	return out
 }
+
+// FlagSpec declares an axis's CLI flag.
+type FlagSpec struct {
+	Name  string
+	Usage string
+	// Default is the flag default of a string-valued axis (a dimension
+	// or the workload); int and bool knobs take theirs from the knob.
+	Default string
+	// Invert makes a bool flag mean the opposite of the option value
+	// (-no-double-buffer sets DoubleBuffer=false).
+	Invert bool
+}
+
+// knob declares an int or bool option axis by what sets it apart from
+// the others; intOption and boolOption derive the rest of its Axis.
+type knob[T int | bool] struct {
+	// token names the key token: "cache" renders " cache=4096".
+	token string
+	// def is the default: what an unset SweepSpec field sweeps and what
+	// the CLI flag defaults to.
+	def T
+	// elide (int knobs) canonicalizes the default to the zero value and
+	// renders no key token at zero, so a knob added after hashes were
+	// first stored (line) keeps every older key byte-identical.
+	elide bool
+	// check is the sim.Check* domain check; nil accepts every value.
+	check func(T) error
+	// arch is the architecture relevance bound (Axis.archRelevant).
+	arch func(sim.Arch) bool
+	// collapse is the optional value-level collapse (Axis.collapse).
+	collapse func(c *Config) bool
+	// opt, spec and json point at the knob's sim.Options, SweepSpec and
+	// PointJSON fields.
+	opt  func(o *sim.Options) *T
+	spec func(s *SweepSpec) *[]T
+	json func(j *PointJSON) *T
+}
+
+// option fills in the closures int and bool knobs derive alike; box and
+// unbox move a T in and out of an axisValue.
+func option[T int | bool](ax Axis, k knob[T], box func(T) axisValue, unbox func(axisValue) T) *Axis {
+	opt := k.opt
+	ax.normalize = func(s *SweepSpec) {
+		if p := k.spec(s); len(*p) == 0 {
+			*p = []T{k.def}
+		}
+	}
+	ax.values = func(s *SweepSpec) []axisValue {
+		vs := *k.spec(s)
+		out := make([]axisValue, len(vs))
+		for i, v := range vs {
+			out[i] = box(v)
+		}
+		return out
+	}
+	if k.check != nil {
+		ax.check = func(v axisValue) error { return k.check(unbox(v)) }
+	}
+	ax.set = func(c *Config, v axisValue) { *opt(&c.Opt) = unbox(v) }
+	ax.archRelevant = k.arch
+	ax.collapse = k.collapse
+	ax.clear = func(c *Config) {
+		var zero T
+		*opt(&c.Opt) = zero
+	}
+	ax.toJSON = func(c *Config, j *PointJSON) { *k.json(j) = *opt(&c.Opt) }
+	return &ax
+}
+
+// intOption derives an int knob's Axis. 0 and the default are the same
+// machine, so canon rewrites one into the other: toward the default,
+// or — for an elided knob — toward the zero that renders no key token.
+func intOption(ax Axis, k knob[int]) *Axis {
+	a := option(ax, k, intVal, func(v axisValue) int { return v.i })
+	opt, def, elide, tok := k.opt, k.def, k.elide, " "+k.token+"="
+	from, to := 0, def
+	if elide {
+		from, to = def, 0
+	}
+	a.canon = func(c *Config) {
+		if p := opt(&c.Opt); *p == from {
+			*p = to
+		}
+	}
+	a.appendKey = func(dst []byte, c *Config) []byte {
+		v := *opt(&c.Opt)
+		if elide && v == 0 {
+			return dst
+		}
+		return strconv.AppendInt(append(dst, tok...), int64(v), 10)
+	}
+	a.bind = func(fs *flag.FlagSet, f FlagSpec) func(*sim.Options) {
+		p := fs.Int(f.Name, def, f.Usage)
+		return func(o *sim.Options) { *opt(o) = *p }
+	}
+	return a
+}
+
+// boolOption derives a bool knob's Axis. Bool values are never
+// rewritten or elided; an inverted flag defaults to the negated knob
+// default and applies negated.
+func boolOption(ax Axis, k knob[bool]) *Axis {
+	a := option(ax, k, boolVal, func(v axisValue) bool { return v.b })
+	opt, def, tok := k.opt, k.def, " "+k.token+"="
+	a.appendKey = func(dst []byte, c *Config) []byte {
+		return strconv.AppendBool(append(dst, tok...), *opt(&c.Opt))
+	}
+	a.bind = func(fs *flag.FlagSet, f FlagSpec) func(*sim.Options) {
+		p := fs.Bool(f.Name, def != f.Invert, f.Usage)
+		return func(o *sim.Options) { *opt(o) = *p != f.Invert }
+	}
+	return a
+}
+
+// Relevance predicates shared by several knobs.
+func isBillie(a sim.Arch) bool  { return a == sim.WithBillie }
+func hasAccel(a sim.Arch) bool  { return a.HasMonte() || a == sim.WithBillie }
+func idealCache(c *Config) bool { return c.Opt.IdealCache }
 
 // evaluatedArchs is the arch dimension's declared value domain and
 // default set: the paper's five evaluated architectures, in Figure 1.1
@@ -293,25 +375,12 @@ func AllArchs() []sim.Arch {
 	return append([]sim.Arch{}, evaluatedArchs...)
 }
 
-// archNames renders the evaluated architectures' canonical CLI names
-// straight off the domain slice. The arch axis's parse closure uses
-// this rather than the exported ArchNames because the latter resolves
-// archAxis from the registry — a reference that would be an
-// initialization cycle inside the registry literal itself.
+// archNames renders the evaluated architectures' canonical CLI names,
+// in domain order.
 func archNames() []string {
 	out := make([]string, len(evaluatedArchs))
 	for i, a := range evaluatedArchs {
 		out[i] = a.String()
-	}
-	return out
-}
-
-// ArchNames lists the canonical CLI spellings of the evaluated
-// architectures, in domain order, via the arch axis's format.
-func ArchNames() []string {
-	out := make([]string, len(evaluatedArchs))
-	for i, a := range evaluatedArchs {
-		out[i] = archAxis.format(archVal(a))
 	}
 	return out
 }
@@ -345,7 +414,7 @@ var axes = []*Axis{
 		Name:      "arch",
 		Doc:       "architecture on the Figure 1.1 acceleration spectrum",
 		Domain:    "baseline, isa-ext, isa-ext+icache, monte, billie",
-		Flag:      FlagSpec{Name: "arch", Kind: FlagString, Usage: "run one configuration: baseline, isa-ext, isa-ext+icache, monte, billie"},
+		Flag:      FlagSpec{Name: "arch", Usage: "run one configuration: baseline, isa-ext, isa-ext+icache, monte, billie"},
 		Dimension: true,
 		Strategy:  Strategy{Scale: ScaleEnumerated},
 		normalize: func(s *SweepSpec) {
@@ -360,7 +429,8 @@ var axes = []*Axis{
 			}
 			return out
 		},
-		set: func(c *Config, v axisValue) { c.Arch = sim.Arch(v.i) },
+		check: func(v axisValue) error { return sim.CheckArch(sim.Arch(v.i)) },
+		set:   func(c *Config, v axisValue) { c.Arch = sim.Arch(v.i) },
 		parse: func(s string) (axisValue, error) {
 			name := strings.ToLower(s)
 			for _, a := range evaluatedArchs {
@@ -377,7 +447,6 @@ var axes = []*Axis{
 			}
 			return axisValue{}, fmt.Errorf("unknown architecture %q (want one of %s)", s, strings.Join(archNames(), ", "))
 		},
-		format: func(v axisValue) string { return sim.Arch(v.i).String() },
 		// The first key token: no leading space, reproducing the
 		// hand-written "arch=…" prefix every stored hash starts from.
 		appendKey: func(dst []byte, c *Config) []byte {
@@ -391,7 +460,7 @@ var axes = []*Axis{
 		Name:      "curve",
 		Doc:       "NIST curve (P-* prime field, B-* binary field)",
 		Domain:    strings.Join(ec.PrimeCurveNames, ", ") + ", " + strings.Join(ec.BinaryCurveNames, ", "),
-		Flag:      FlagSpec{Name: "curve", Kind: FlagString, DefString: "P-256", Usage: "curve for -arch runs"},
+		Flag:      FlagSpec{Name: "curve", Default: "P-256", Usage: "curve for -arch runs"},
 		Dimension: true,
 		Strategy:  Strategy{Scale: ScaleEnumerated},
 		normalize: func(s *SweepSpec) {
@@ -408,7 +477,6 @@ var axes = []*Axis{
 			}
 			return stringVal(s), nil
 		},
-		format: func(v axisValue) string { return v.s },
 		// The architecture/curve compatibility rule (Section 7.x): Monte
 		// is a prime-field accelerator, Billie a binary-field one; every
 		// other architecture runs both families in software. Declared
@@ -428,279 +496,169 @@ var axes = []*Axis{
 		label:  func(c *Config) (string, bool) { return c.Curve, false },
 		toJSON: func(c *Config, j *PointJSON) { j.Curve = c.Curve },
 	},
-	{
+	intOption(Axis{
 		Name:     "cache",
 		Doc:      "I-cache capacity (cached architectures only)",
 		Domain:   fmt.Sprintf("%d..%d bytes", sim.MinCacheBytes, sim.MaxCacheBytes),
-		Flag:     FlagSpec{Name: "cache", Kind: FlagInt, DefInt: 4096, Usage: "I-cache bytes for cached configurations"},
+		Flag:     FlagSpec{Name: "cache", Usage: "I-cache bytes for cached configurations"},
 		Strategy: Strategy{Scale: ScaleLog2},
-		normalize: func(s *SweepSpec) {
-			if len(s.CacheBytes) == 0 {
-				s.CacheBytes = []int{4096}
-			}
-		},
-		values: func(s *SweepSpec) []axisValue { return intVals(s.CacheBytes) },
-		check:  func(v axisValue) error { return sim.CheckCacheBytes(v.i) },
-		set:    func(c *Config, v axisValue) { c.Opt.CacheBytes = v.i },
-		canon: func(c *Config) {
-			if c.Opt.CacheBytes == 0 {
-				c.Opt.CacheBytes = 4096
-			}
-		},
-		relevant:     func(c *Config) bool { return c.Arch.HasCache() },
-		archRelevant: func(a sim.Arch) bool { return a.HasCache() },
-		clear:        func(c *Config) { c.Opt.CacheBytes = 0 },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " cache="...)
-			return strconv.AppendInt(dst, int64(c.Opt.CacheBytes), 10)
-		},
 		label: func(c *Config) (string, bool) {
 			if !c.Arch.HasCache() {
 				return "", false
 			}
 			return fmt.Sprintf("%dKB", c.Opt.CacheBytes/1024), false
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.CacheBytes = c.Opt.CacheBytes },
-	},
-	{
+	}, knob[int]{
+		token: "cache", def: 4096, check: sim.CheckCacheBytes, arch: sim.Arch.HasCache,
+		opt:  func(o *sim.Options) *int { return &o.CacheBytes },
+		spec: func(s *SweepSpec) *[]int { return &s.CacheBytes },
+		json: func(j *PointJSON) *int { return &j.CacheBytes },
+	}),
+	boolOption(Axis{
 		Name:     "prefetch",
 		Doc:      "stream-buffer prefetcher (Section 5.3.3)",
 		Domain:   "bool",
-		Flag:     FlagSpec{Name: "prefetch", Kind: FlagBool, Usage: "enable the stream-buffer prefetcher"},
+		Flag:     FlagSpec{Name: "prefetch", Usage: "enable the stream-buffer prefetcher"},
 		Strategy: Strategy{Scale: ScaleEnumerated},
-		normalize: func(s *SweepSpec) {
-			if len(s.Prefetch) == 0 {
-				s.Prefetch = []bool{false}
-			}
-		},
-		values: func(s *SweepSpec) []axisValue { return boolVals(s.Prefetch) },
-		set:    func(c *Config, v axisValue) { c.Opt.Prefetch = v.b },
-		// A never-miss cache has no misses to prefetch for. The
-		// ideal-cache condition is value-level, so the arch bound keeps
-		// only the HasCache half.
-		relevant:     func(c *Config) bool { return c.Arch.HasCache() && !c.Opt.IdealCache },
-		archRelevant: func(a sim.Arch) bool { return a.HasCache() },
-		clear:        func(c *Config) { c.Opt.Prefetch = false },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " pf="...)
-			return strconv.AppendBool(dst, c.Opt.Prefetch)
-		},
 		label: func(c *Config) (string, bool) {
 			if !c.Opt.Prefetch {
 				return "", false
 			}
 			return "+pf", true
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.Prefetch = c.Opt.Prefetch },
-	},
-	{
+	}, knob[bool]{
+		// A never-miss cache has no misses to prefetch for.
+		token: "pf", arch: sim.Arch.HasCache, collapse: idealCache,
+		opt:  func(o *sim.Options) *bool { return &o.Prefetch },
+		spec: func(s *SweepSpec) *[]bool { return &s.Prefetch },
+		json: func(j *PointJSON) *bool { return &j.Prefetch },
+	}),
+	boolOption(Axis{
 		Name:     "ideal-cache",
 		Doc:      "never-miss cache bound (Figure 7.11)",
 		Domain:   "bool",
-		Flag:     FlagSpec{Name: "ideal-cache", Kind: FlagBool, Usage: "model the never-miss I-cache bound (Figure 7.11)"},
+		Flag:     FlagSpec{Name: "ideal-cache", Usage: "model the never-miss I-cache bound (Figure 7.11)"},
 		Strategy: Strategy{Scale: ScaleEnumerated},
-		normalize: func(s *SweepSpec) {
-			if len(s.IdealCache) == 0 {
-				s.IdealCache = []bool{false}
-			}
-		},
-		values:       func(s *SweepSpec) []axisValue { return boolVals(s.IdealCache) },
-		set:          func(c *Config, v axisValue) { c.Opt.IdealCache = v.b },
-		relevant:     func(c *Config) bool { return c.Arch.HasCache() },
-		archRelevant: func(a sim.Arch) bool { return a.HasCache() },
-		clear:        func(c *Config) { c.Opt.IdealCache = false },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " ideal="...)
-			return strconv.AppendBool(dst, c.Opt.IdealCache)
-		},
 		label: func(c *Config) (string, bool) {
 			if !c.Opt.IdealCache {
 				return "", false
 			}
 			return "+ideal", true
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.IdealCache = c.Opt.IdealCache },
-	},
-	{
+	}, knob[bool]{
+		token: "ideal", arch: sim.Arch.HasCache,
+		opt:  func(o *sim.Options) *bool { return &o.IdealCache },
+		spec: func(s *SweepSpec) *[]bool { return &s.IdealCache },
+		json: func(j *PointJSON) *bool { return &j.IdealCache },
+	}),
+	boolOption(Axis{
 		Name:   "double-buffer",
 		Doc:    "Monte DMA/compute overlap (Section 7.7)",
 		Domain: "bool",
-		Flag:   FlagSpec{Name: "no-double-buffer", Kind: FlagBool, Invert: true, Usage: "disable Monte double buffering"},
+		Flag:   FlagSpec{Name: "no-double-buffer", Invert: true, Usage: "disable Monte double buffering"},
 		// Overlapping DMA with compute never slows the kernel: once the
 		// enabled endpoint dominates, the disabled one can be pruned.
 		Strategy: Strategy{Scale: ScaleEnumerated, MonotonePrunable: true},
-		normalize: func(s *SweepSpec) {
-			if len(s.DoubleBuffer) == 0 {
-				s.DoubleBuffer = []bool{true}
-			}
-		},
-		values:       func(s *SweepSpec) []axisValue { return boolVals(s.DoubleBuffer) },
-		set:          func(c *Config, v axisValue) { c.Opt.DoubleBuffer = v.b },
-		relevant:     func(c *Config) bool { return c.Arch.HasMonte() },
-		archRelevant: func(a sim.Arch) bool { return a.HasMonte() },
-		clear:        func(c *Config) { c.Opt.DoubleBuffer = false },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " db="...)
-			return strconv.AppendBool(dst, c.Opt.DoubleBuffer)
-		},
 		label: func(c *Config) (string, bool) {
 			if !c.Arch.HasMonte() || c.Opt.DoubleBuffer {
 				return "", false
 			}
 			return "no-db", false
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.DoubleBuffer = c.Opt.DoubleBuffer },
-	},
-	{
+	}, knob[bool]{
+		token: "db", def: true, arch: sim.Arch.HasMonte,
+		opt:  func(o *sim.Options) *bool { return &o.DoubleBuffer },
+		spec: func(s *SweepSpec) *[]bool { return &s.DoubleBuffer },
+		json: func(j *PointJSON) *bool { return &j.DoubleBuffer },
+	}),
+	intOption(Axis{
 		Name:   "width",
 		Doc:    "Monte FFAU datapath width (Table 7.3)",
 		Domain: "8/16/32/64 bits",
-		Flag:   FlagSpec{Name: "width", Kind: FlagInt, DefInt: sim.DefaultMonteWidth, Usage: "Monte FFAU datapath width in bits (8/16/32/64)"},
+		Flag:   FlagSpec{Name: "width", Usage: "Monte FFAU datapath width in bits (8/16/32/64)"},
 		// Power-of-two steps; Table 7.3 shows an interior energy
 		// optimum (wider is faster but leakier), so not prunable.
 		Strategy: Strategy{Scale: ScaleLog2},
-		normalize: func(s *SweepSpec) {
-			if len(s.MonteWidths) == 0 {
-				s.MonteWidths = []int{sim.DefaultMonteWidth}
-			}
-		},
-		values: func(s *SweepSpec) []axisValue { return intVals(s.MonteWidths) },
-		check:  func(v axisValue) error { return sim.CheckMonteWidth(v.i) },
-		set:    func(c *Config, v axisValue) { c.Opt.MonteWidth = v.i },
-		canon: func(c *Config) {
-			if c.Opt.MonteWidth == 0 {
-				c.Opt.MonteWidth = sim.DefaultMonteWidth
-			}
-		},
-		relevant:     func(c *Config) bool { return c.Arch.HasMonte() },
-		archRelevant: func(a sim.Arch) bool { return a.HasMonte() },
-		clear:        func(c *Config) { c.Opt.MonteWidth = 0 },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " w="...)
-			return strconv.AppendInt(dst, int64(c.Opt.MonteWidth), 10)
-		},
 		label: func(c *Config) (string, bool) {
 			if c.Opt.MonteWidth == 0 || c.Opt.MonteWidth == sim.DefaultMonteWidth {
 				return "", false
 			}
 			return fmt.Sprintf("w=%d", c.Opt.MonteWidth), false
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.MonteWidth = c.Opt.MonteWidth },
-	},
-	{
+	}, knob[int]{
+		token: "w", def: sim.DefaultMonteWidth, check: sim.CheckMonteWidth, arch: sim.Arch.HasMonte,
+		opt:  func(o *sim.Options) *int { return &o.MonteWidth },
+		spec: func(s *SweepSpec) *[]int { return &s.MonteWidths },
+		json: func(j *PointJSON) *int { return &j.MonteWidth },
+	}),
+	intOption(Axis{
 		Name:   "digit",
 		Doc:    "Billie digit-serial multiplier width",
 		Domain: fmt.Sprintf("%d..%d", sim.MinBillieDigit, sim.MaxBillieDigit),
-		Flag:   FlagSpec{Name: "digit", Kind: FlagInt, DefInt: 3, Usage: "Billie multiplier digit size"},
+		Flag:   FlagSpec{Name: "digit", Usage: "Billie multiplier digit size"},
 		// Unit steps 1..8; the energy optimum is interior (bigger
 		// digits cost area and leakage), so not prunable.
 		Strategy: Strategy{Scale: ScaleLinear},
-		normalize: func(s *SweepSpec) {
-			if len(s.BillieDigits) == 0 {
-				s.BillieDigits = []int{3}
-			}
-		},
-		values: func(s *SweepSpec) []axisValue { return intVals(s.BillieDigits) },
-		check:  func(v axisValue) error { return sim.CheckBillieDigit(v.i) },
-		set:    func(c *Config, v axisValue) { c.Opt.BillieDigit = v.i },
-		canon: func(c *Config) {
-			if c.Opt.BillieDigit == 0 {
-				c.Opt.BillieDigit = 3
-			}
-		},
-		relevant:     func(c *Config) bool { return c.Arch == sim.WithBillie },
-		archRelevant: func(a sim.Arch) bool { return a == sim.WithBillie },
-		clear:        func(c *Config) { c.Opt.BillieDigit = 0 },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " digit="...)
-			return strconv.AppendInt(dst, int64(c.Opt.BillieDigit), 10)
-		},
 		label: func(c *Config) (string, bool) {
 			if c.Opt.BillieDigit == 0 {
 				return "", false
 			}
 			return fmt.Sprintf("D=%d", c.Opt.BillieDigit), false
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.BillieDigit = c.Opt.BillieDigit },
-	},
-	{
+	}, knob[int]{
+		token: "digit", def: 3, check: sim.CheckBillieDigit, arch: isBillie,
+		opt:  func(o *sim.Options) *int { return &o.BillieDigit },
+		spec: func(s *SweepSpec) *[]int { return &s.BillieDigits },
+		json: func(j *PointJSON) *int { return &j.BillieDigit },
+	}),
+	boolOption(Axis{
 		Name:   "gate",
 		Doc:    "clock/power-gate an idle accelerator (Chapter 8 what-if)",
 		Domain: "bool",
-		Flag:   FlagSpec{Name: "gate-accel-idle", Kind: FlagBool, Usage: "clock/power-gate the accelerator while idle (Chapter 8 what-if)"},
+		Flag:   FlagSpec{Name: "gate-accel-idle", Usage: "clock/power-gate the accelerator while idle (Chapter 8 what-if)"},
 		// Gating an idle accelerator only removes leakage — the gated
 		// endpoint always dominates, so the axis is prunable.
 		Strategy: Strategy{Scale: ScaleEnumerated, MonotonePrunable: true},
-		normalize: func(s *SweepSpec) {
-			if len(s.GateAccelIdle) == 0 {
-				s.GateAccelIdle = []bool{false}
-			}
-		},
-		values: func(s *SweepSpec) []axisValue { return boolVals(s.GateAccelIdle) },
-		set:    func(c *Config, v axisValue) { c.Opt.GateAccelIdle = v.b },
-		relevant: func(c *Config) bool {
-			return c.Arch.HasMonte() || c.Arch == sim.WithBillie
-		},
-		archRelevant: func(a sim.Arch) bool { return a.HasMonte() || a == sim.WithBillie },
-		clear:        func(c *Config) { c.Opt.GateAccelIdle = false },
-		appendKey: func(dst []byte, c *Config) []byte {
-			dst = append(dst, " gate="...)
-			return strconv.AppendBool(dst, c.Opt.GateAccelIdle)
-		},
 		label: func(c *Config) (string, bool) {
 			if !c.Opt.GateAccelIdle {
 				return "", false
 			}
 			return "gated", false
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.GateAccelIdle = c.Opt.GateAccelIdle },
-	},
-	{
+	}, knob[bool]{
+		token: "gate", arch: hasAccel,
+		opt:  func(o *sim.Options) *bool { return &o.GateAccelIdle },
+		spec: func(s *SweepSpec) *[]bool { return &s.GateAccelIdle },
+		json: func(j *PointJSON) *bool { return &j.GateAccelIdle },
+	}),
+	intOption(Axis{
 		Name:     "line",
 		Doc:      "I-cache line size (the paper fixes 16 B; Section 5.3)",
 		Domain:   fmt.Sprintf("power of two, %d..%d bytes", sim.MinCacheLineBytes, sim.MaxCacheLineBytes),
-		Flag:     FlagSpec{Name: "line", Kind: FlagInt, DefInt: sim.DefaultCacheLineBytes, Usage: "I-cache line size in bytes (power of two; 16 is the Section 5.3 hardware)"},
+		Flag:     FlagSpec{Name: "line", Usage: "I-cache line size in bytes (power of two; 16 is the Section 5.3 hardware)"},
 		Strategy: Strategy{Scale: ScaleLog2},
-		normalize: func(s *SweepSpec) {
-			if len(s.CacheLineBytes) == 0 {
-				s.CacheLineBytes = []int{sim.DefaultCacheLineBytes}
-			}
-		},
-		values: func(s *SweepSpec) []axisValue { return intVals(s.CacheLineBytes) },
-		check:  func(v axisValue) error { return sim.CheckCacheLineBytes(v.i) },
-		set:    func(c *Config, v axisValue) { c.Opt.CacheLineBytes = v.i },
-		// The default line canonicalizes to the *elided* zero value —
-		// the reverse of the cache-capacity fill — so every key, hash,
-		// JSON document and disk-store byte that predates the axis is
-		// reproduced exactly.
-		canon: func(c *Config) {
-			if c.Opt.CacheLineBytes == sim.DefaultCacheLineBytes {
-				c.Opt.CacheLineBytes = 0
-			}
-		},
-		relevant:     func(c *Config) bool { return c.Arch.HasCache() && !c.Opt.IdealCache },
-		archRelevant: func(a sim.Arch) bool { return a.HasCache() },
-		clear:        func(c *Config) { c.Opt.CacheLineBytes = 0 },
-		appendKey: func(dst []byte, c *Config) []byte {
-			if c.Opt.CacheLineBytes == 0 {
-				return dst
-			}
-			dst = append(dst, " line="...)
-			return strconv.AppendInt(dst, int64(c.Opt.CacheLineBytes), 10)
-		},
 		label: func(c *Config) (string, bool) {
 			if c.Opt.CacheLineBytes == 0 {
 				return "", false
 			}
 			return fmt.Sprintf("line=%d", c.Opt.CacheLineBytes), false
 		},
-		toJSON: func(c *Config, j *PointJSON) { j.CacheLineBytes = c.Opt.CacheLineBytes },
-	},
+	}, knob[int]{
+		// The default line elides — the reverse of the cache-capacity
+		// fill — so every key, hash, JSON document and disk-store byte
+		// that predates the axis is reproduced exactly. A never-miss
+		// cache never fills a line.
+		token: "line", def: sim.DefaultCacheLineBytes, elide: true,
+		check: sim.CheckCacheLineBytes, arch: sim.Arch.HasCache, collapse: idealCache,
+		opt:  func(o *sim.Options) *int { return &o.CacheLineBytes },
+		spec: func(s *SweepSpec) *[]int { return &s.CacheLineBytes },
+		json: func(j *PointJSON) *int { return &j.CacheLineBytes },
+	}),
 	{
 		Name:   "workload",
 		Doc:    "priced scenario (sim workload name)",
 		Domain: strings.Join(sim.Workloads(), ", "),
-		Flag: FlagSpec{Name: "workload", Kind: FlagString, Usage: "priced scenario(s): " + strings.Join(sim.Workloads(), ", ") +
+		Flag: FlagSpec{Name: "workload", Usage: "priced scenario(s): " + strings.Join(sim.Workloads(), ", ") +
 			" (default sign-verify; with -sweep a comma-separated list sets the workload axis" +
 			" to exactly those scenarios, replacing the default — include sign-verify to keep it)"},
 		Strategy: Strategy{Scale: ScaleEnumerated},
@@ -735,11 +693,15 @@ var axes = []*Axis{
 			return "wl=" + c.Opt.Workload, false
 		},
 		toJSON: func(c *Config, j *PointJSON) { j.Workload = c.Opt.Workload },
+		bind: func(fs *flag.FlagSet, f FlagSpec) func(*sim.Options) {
+			p := fs.String(f.Name, f.Default, f.Usage)
+			return func(o *sim.Options) { o.Workload = *p }
+		},
 	},
 }
 
 // archAxis and curveAxis are the dimension entries, resolved once for
-// the parse/format front doors below.
+// the ParseArch/ParseCurve front doors below.
 var (
 	archAxis  = mustAxis("arch")
 	curveAxis = mustAxis("curve")
@@ -797,49 +759,20 @@ func Axes() []*Axis { return axes }
 
 // RegisterAxisFlags registers one CLI flag per design-space *option*
 // axis on fs (call before fs.Parse) and returns an apply function that
-// copies the parsed values into an Options. Flag names, defaults and
-// usage strings all come from the registry, so a new knob surfaces on
-// the CLI without touching cmd/dse. Dimension axes are selection, not
-// tuning — register theirs with RegisterDimensionFlags.
+// copies the parsed values into an Options. Each axis binds its own
+// flag — name, type, default and usage all come from the registry — so
+// a new knob surfaces on the CLI without touching cmd/dse. Dimension
+// axes are selection, not tuning — register theirs with
+// RegisterDimensionFlags.
 func RegisterAxisFlags(fs *flag.FlagSet) func(o *sim.Options) {
-	type bound struct {
-		ax *Axis
-		i  *int
-		b  *bool
-		s  *string
-	}
-	bounds := make([]bound, 0, len(optIdx))
-	for _, i := range optIdx {
-		ax := axes[i]
-		f := ax.Flag
-		bd := bound{ax: ax}
-		switch f.Kind {
-		case FlagInt:
-			bd.i = fs.Int(f.Name, f.DefInt, f.Usage)
-		case FlagBool:
-			bd.b = fs.Bool(f.Name, f.DefBool, f.Usage)
-		case FlagString:
-			bd.s = fs.String(f.Name, f.DefString, f.Usage)
-		}
-		bounds = append(bounds, bd)
+	applies := make([]func(*sim.Options), len(optIdx))
+	for k, i := range optIdx {
+		applies[k] = axes[i].bind(fs, axes[i].Flag)
 	}
 	return func(o *sim.Options) {
-		c := Config{Opt: *o}
-		for _, bd := range bounds {
-			switch {
-			case bd.i != nil:
-				bd.ax.set(&c, intVal(*bd.i))
-			case bd.b != nil:
-				v := *bd.b
-				if bd.ax.Flag.Invert {
-					v = !v
-				}
-				bd.ax.set(&c, boolVal(v))
-			case bd.s != nil:
-				bd.ax.set(&c, stringVal(*bd.s))
-			}
+		for _, apply := range applies {
+			apply(o)
 		}
-		*o = c.Opt
 	}
 }
 
@@ -853,7 +786,7 @@ func RegisterDimensionFlags(fs *flag.FlagSet) map[string]*string {
 	out := make(map[string]*string, len(dimIdx))
 	for _, i := range dimIdx {
 		f := axes[i].Flag
-		out[f.Name] = fs.String(f.Name, f.DefString, f.Usage)
+		out[f.Name] = fs.String(f.Name, f.Default, f.Usage)
 	}
 	return out
 }

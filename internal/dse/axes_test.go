@@ -243,3 +243,33 @@ func TestValidateSharesSimDomains(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRejectsUnknownArch pins the arch domain shared between
+// sweep validation and sim.Run: an out-of-range sim.Arch is rejected
+// with one message on both paths (and by Sweep) instead of panicking in
+// the field-cost model, while the two study configurations outside the
+// evaluated five stay runnable.
+func TestValidateRejectsUnknownArch(t *testing.T) {
+	bad := sim.Arch(42)
+	spec := SweepSpec{Archs: []sim.Arch{bad}, Curves: []string{"P-192"}}
+	specErr := spec.Validate()
+	if specErr == nil {
+		t.Fatal("spec with an unknown architecture passed validation")
+	}
+	_, simErr := sim.Run(bad, "P-192", sim.DefaultOptions())
+	if simErr == nil {
+		t.Fatal("sim.Run accepted an unknown architecture")
+	}
+	specBody := strings.TrimPrefix(specErr.Error(), "dse: ")
+	simBody := strings.TrimPrefix(simErr.Error(), "sim: ")
+	if specBody != simBody {
+		t.Errorf("domain messages diverge:\n  dse: %s\n  sim: %s", specBody, simBody)
+	}
+	if _, err := Sweep(spec, SweepOptions{Workers: 1, Cache: NewCache()}); err == nil {
+		t.Error("Sweep accepted an unknown architecture")
+	}
+	study := SweepSpec{Archs: []sim.Arch{sim.BaselineCache, sim.MonteCache}, Curves: []string{"P-192"}}
+	if err := study.Validate(); err != nil {
+		t.Errorf("study architectures rejected: %v", err)
+	}
+}

@@ -95,7 +95,7 @@ func (c *Config) canonicalize() {
 		}
 	}
 	for _, ax := range axes {
-		if ax.relevant != nil && !ax.relevant(c) {
+		if !ax.relevant(c) {
 			ax.clear(c)
 		}
 	}

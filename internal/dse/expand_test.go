@@ -244,12 +244,14 @@ func TestRelevantAxesPerArch(t *testing.T) {
 // TestArchRelevantBoundsRelevant enforces the registry contract that
 // archRelevant over-approximates relevant: no canonical config may have
 // an axis relevant while its architecture bound says never. A violation
-// would make factored expansion silently drop real design points.
+// would make factored expansion silently drop real design points;
+// Axis.relevant is derived from the bound to rule that out, and this
+// test guards the derivation.
 func TestArchRelevantBoundsRelevant(t *testing.T) {
 	for _, cfg := range FullSweep().Expand() {
 		cfg := cfg.Canonical()
 		for _, ax := range axes {
-			if ax.relevant == nil || ax.archRelevant == nil {
+			if ax.archRelevant == nil {
 				continue
 			}
 			if ax.relevant(&cfg) && !ax.archRelevant(cfg.Arch) {

@@ -134,7 +134,7 @@ func TestParseArch(t *testing.T) {
 	if !strings.Contains(msg, `unknown architecture "montee"`) {
 		t.Errorf("typo error %q does not name the bad input", msg)
 	}
-	for _, name := range ArchNames() {
+	for _, name := range archNames() {
 		if !strings.Contains(msg, name) {
 			t.Errorf("typo error %q does not list valid name %q", msg, name)
 		}

@@ -216,19 +216,41 @@ func (s SweepSpec) Expand() []Config {
 	}
 	seen := make(map[string]bool)
 	var out []Config
+	buf := make([]byte, 0, keyBufCap)
+	forEachFactored(vals, func(c *Config) {
+		// Full canonicalization still runs per point: value-conditional
+		// collapses (an ideal cache folding the prefetch and line axes)
+		// are below the arch-level factoring, and the seen map absorbs
+		// them.
+		c.canonicalize()
+		buf = c.appendKeyTo(buf[:0])
+		if !seen[string(buf)] {
+			cfg := *c
+			cfg.key = string(buf)
+			seen[cfg.key] = true
+			out = append(out, cfg)
+		}
+	})
+	return out
+}
+
+// forEachFactored walks the relevance-factored grid of vals (indexed by
+// registry position): for every valid dimension point, in
+// forEachDimension order, the cross-product of the option axes whose
+// archRelevant bound admits the point's architecture, the last live
+// axis varying fastest. The excluded axes stay pinned at their cleared
+// zero values, which loses nothing: archRelevant bounds relevant, so
+// Canonical would clear them anyway. fn receives a scratch config it
+// may modify but must copy to retain.
+func forEachFactored(vals [][]axisValue, fn func(c *Config)) {
 	live := make([]int, 0, len(optIdx))
 	idx := make([]int, len(axes))
-	buf := make([]byte, 0, keyBufCap)
-	// One scratch config, canonicalized in place per point: hoisted so
-	// the escape through the registry closures costs one allocation for
-	// the whole expansion, not one per point.
+	// One scratch config for the whole walk: it escapes through the
+	// registry closures, so hoisting it costs one allocation total.
 	var scratch Config
 	lastArch := sim.Arch(-1)
 	forEachDimension(vals, func(dim *Config) {
 		if dim.Arch != lastArch {
-			// The factored axis set for this architecture. archRelevant
-			// is an upper bound of relevant, so pinning the excluded axes
-			// at zero loses nothing: Canonical would clear them anyway.
 			lastArch = dim.Arch
 			live = live[:0]
 			for _, i := range optIdx {
@@ -252,18 +274,7 @@ func (s SweepSpec) Expand() []Config {
 			for _, i := range live {
 				axes[i].set(&scratch, vals[i][idx[i]])
 			}
-			// Full canonicalization still runs per point:
-			// value-conditional collapses (an ideal cache folding the
-			// prefetch and line axes) are below the arch-level
-			// factoring, and the seen map absorbs them.
-			scratch.canonicalize()
-			buf = scratch.appendKeyTo(buf[:0])
-			if !seen[string(buf)] {
-				cfg := scratch
-				cfg.key = string(buf)
-				seen[cfg.key] = true
-				out = append(out, cfg)
-			}
+			fn(&scratch)
 			// Odometer step over the live axes only; the last is
 			// least significant.
 			k := len(live) - 1
@@ -281,7 +292,6 @@ func (s SweepSpec) Expand() []Config {
 			}
 		}
 	})
-	return out
 }
 
 // dedupAxisValues collapses an axis's swept values by canonical effect:

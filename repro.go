@@ -226,10 +226,6 @@ func RegisterDimensionFlags(fs *flag.FlagSet) map[string]*string {
 // A typo fails with an error listing the valid names.
 func ParseArchitecture(s string) (Architecture, error) { return dse.ParseArch(s) }
 
-// ArchitectureNames lists the canonical CLI names of the evaluated
-// architectures, from the dse registry's arch dimension axis.
-func ArchitectureNames() []string { return dse.ArchNames() }
-
 // ParseCurveName validates a CLI curve name through the dse registry's
 // curve dimension axis, failing with the same unknown-curve guidance
 // sweep validation gives.
@@ -332,12 +328,6 @@ func AssembleSweepFromStore(spec SweepSpec, dir string) (*SweepResult, error) {
 // cache directory.
 func SweepStorePath(dir string) string { return dse.DiskCachePath(dir) }
 
-// SweepShardStorePath returns the store path shard index of count
-// flushes inside a sweep cache directory.
-func SweepShardStorePath(dir string, index, count int) string {
-	return dse.ShardStorePath(dir, index, count)
-}
-
 // Pareto returns the energy-vs-latency Pareto frontier of a point set,
 // sorted by ascending latency.
 func Pareto(points []SweepPoint) []SweepPoint { return dse.Pareto(points) }
@@ -355,12 +345,6 @@ func RankByEDP(points []SweepPoint) []SweepPoint { return dse.ByEDP(points) }
 // security level — the comparison at fixed key strength.
 func ParetoPerSecurity(points []SweepPoint) []LevelFrontier {
 	return dse.ParetoPerLevel(points)
-}
-
-// SweepPointsJSON renders a point list (e.g. a Pareto frontier) as
-// machine-readable indented JSON.
-func SweepPointsJSON(points []SweepPoint) ([]byte, error) {
-	return dse.PointsJSON(points)
 }
 
 // SweepFrontiersJSON renders the global and per-security-level Pareto
@@ -422,11 +406,6 @@ func SweepCacheStats() (hits, misses uint64, entries int) {
 	hits, misses = c.Stats()
 	return hits, misses, c.Len()
 }
-
-// ResetSweepCache drops the process-wide result cache's contents and
-// zeroes its counters, scoping subsequent SweepCacheStats readings to
-// the sweeps that follow.
-func ResetSweepCache() { dse.SharedCache().Reset() }
 
 // RegisterCacheMetrics surfaces the process-wide result cache in a
 // registry as live gauges cache.hits / cache.misses / cache.entries,
