@@ -358,9 +358,8 @@ func boolOption(ax Axis, k knob[bool]) *Axis {
 	return a
 }
 
-// Relevance predicates shared by several knobs.
-func isBillie(a sim.Arch) bool  { return a == sim.WithBillie }
-func hasAccel(a sim.Arch) bool  { return a.HasMonte() || a == sim.WithBillie }
+// idealCache is the prefetch and line knobs' collapse: a never-miss
+// cache neither misses nor fills a line.
 func idealCache(c *Config) bool { return c.Opt.IdealCache }
 
 // evaluatedArchs is the arch dimension's declared value domain and
@@ -527,7 +526,6 @@ var axes = []*Axis{
 			return "+pf", true
 		},
 	}, knob[bool]{
-		// A never-miss cache has no misses to prefetch for.
 		token: "pf", arch: sim.Arch.HasCache, collapse: idealCache,
 		opt:  func(o *sim.Options) *bool { return &o.Prefetch },
 		spec: func(s *SweepSpec) *[]bool { return &s.Prefetch },
@@ -606,7 +604,7 @@ var axes = []*Axis{
 			return fmt.Sprintf("D=%d", c.Opt.BillieDigit), false
 		},
 	}, knob[int]{
-		token: "digit", def: 3, check: sim.CheckBillieDigit, arch: isBillie,
+		token: "digit", def: 3, check: sim.CheckBillieDigit, arch: func(a sim.Arch) bool { return a == sim.WithBillie },
 		opt:  func(o *sim.Options) *int { return &o.BillieDigit },
 		spec: func(s *SweepSpec) *[]int { return &s.BillieDigits },
 		json: func(j *PointJSON) *int { return &j.BillieDigit },
@@ -626,7 +624,7 @@ var axes = []*Axis{
 			return "gated", false
 		},
 	}, knob[bool]{
-		token: "gate", arch: hasAccel,
+		token: "gate", arch: func(a sim.Arch) bool { return a.HasMonte() || a == sim.WithBillie },
 		opt:  func(o *sim.Options) *bool { return &o.GateAccelIdle },
 		spec: func(s *SweepSpec) *[]bool { return &s.GateAccelIdle },
 		json: func(j *PointJSON) *bool { return &j.GateAccelIdle },
@@ -646,8 +644,7 @@ var axes = []*Axis{
 	}, knob[int]{
 		// The default line elides — the reverse of the cache-capacity
 		// fill — so every key, hash, JSON document and disk-store byte
-		// that predates the axis is reproduced exactly. A never-miss
-		// cache never fills a line.
+		// that predates the axis is reproduced exactly.
 		token: "line", def: sim.DefaultCacheLineBytes, elide: true,
 		check: sim.CheckCacheLineBytes, arch: sim.Arch.HasCache, collapse: idealCache,
 		opt:  func(o *sim.Options) *int { return &o.CacheLineBytes },
