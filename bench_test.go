@@ -315,8 +315,7 @@ func BenchmarkSweepCold(b *testing.B) {
 // re-decoding at this store size; the store still wins when pricing is
 // census-memo-cold (process restart: one functional crypto profile per
 // (curve, alg, workload) vs a ~23 µs decode per entry) and its real job
-// is durability across processes, shard exchange, and byte-identical
-// merge semantics — not beating a warm in-process memo.
+// is durability across processes — not beating a warm in-process memo.
 func BenchmarkSweepWarmDisk(b *testing.B) {
 	spec := benchSweepSpec()
 	dir := b.TempDir()
@@ -458,7 +457,7 @@ func BenchmarkCensusProfileMiss(b *testing.B) {
 }
 
 // BenchmarkConfigKey measures the canonical-key rendering — the inner
-// loop of every cache lookup, dedup and shard-partition decision — so
+// loop of every cache lookup and dedup decision — so
 // the cost of the registry-driven rendering stays visible against the
 // pre-registry hand-written Sprintf.
 func BenchmarkConfigKey(b *testing.B) {

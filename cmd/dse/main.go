@@ -22,17 +22,6 @@
 //	                                     # frontiers without pricing the whole grid
 //	dse -sweep -adaptive -adaptive-budget 200  # cap evaluated configurations
 //
-// A sweep can be split across processes or hosts: every runner gets the
-// same spec and cache directory, each evaluates one shard of the grid
-// (partitioned deterministically by canonical config hash) into its own
-// store, and a final merge produces the canonical single store —
-// byte-identical to what one unsharded sweep would have written:
-//
-//	dse -sweep -shard 0/2 -cache-dir .dse   # runner 1
-//	dse -sweep -shard 1/2 -cache-dir .dse   # runner 2 (any machine, same dir)
-//	dse -merge-cache -cache-dir .dse        # combine the shard stores
-//	dse -sweep -cache-dir .dse              # re-sweep: 100% cache hits
-//
 // The design-space flags are generated from the dse axis registry: the
 // dimension selectors (-arch, -curve) from its dimension axes and the
 // per-knob flags (-cache, -prefetch, -ideal-cache, -no-double-buffer,
@@ -46,7 +35,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro"
@@ -65,16 +53,13 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "with -sweep: persist the result cache in this directory so repeated sweeps are served from disk")
 		progress = flag.Bool("progress", false, "with -sweep: render a live per-point progress counter to stderr")
 		curves   = flag.String("curves", "", "with -sweep: comma-separated curve subset replacing the full 10-curve axis")
-		shard    = flag.String("shard", "", "with -sweep: run one shard of the grid, as i/n (e.g. 0/2); results flush to a per-shard store in -cache-dir, combined later by -merge-cache")
 
 		adaptive       = flag.Bool("adaptive", false, "with -sweep: adaptive Pareto-guided exploration — refine around the live per-security-level frontiers instead of pricing the whole grid")
 		adaptiveBudget = flag.Int("adaptive-budget", 0, "with -sweep -adaptive: evaluate at most this many configurations (0 = explore until the frontiers stop moving)")
 
 		stats     = flag.Bool("stats", false, "after a -sweep or -arch run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
-		traceFile = flag.String("trace", "", "append one JSON event per run stage (sweep start/point/flush/end, merges) to this file; shard runs may share it")
+		traceFile = flag.String("trace", "", "with -sweep: append one JSON event per run stage (sweep start/point/flush/end) to this file")
 		httpAddr  = flag.String("http", "", "with -sweep: serve live /metrics, /progress and /debug/pprof on this address (e.g. :8080) while the sweep runs")
-
-		mergeCache = flag.Bool("merge-cache", false, "merge the per-shard result stores in -cache-dir into the canonical single store")
 	)
 	// Every design-space flag is generated from the dse axis registry:
 	// the dimension selectors (-arch, -curve) from the dimension axes,
@@ -108,9 +93,9 @@ func main() {
 	// Every flag-coherence rule lives in conflictError so each rejection
 	// is regression-testable; main only prints the verdict and exits.
 	if msg := conflictError(cliFlags{
-		list: *list, sweep: *sweep, all: *all, mergeCache: *mergeCache,
+		list: *list, sweep: *sweep, all: *all,
 		exp: *exp, arch: *arch,
-		workload: workload, curves: *curves, shard: *shard,
+		workload: workload, curves: *curves,
 		adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
 		jsonOut: *jsonOut, pareto: *pareto, progress: *progress,
 		workers: *workers, stats: *stats,
@@ -132,7 +117,7 @@ func main() {
 		err := runSweep(sweepConfig{
 			workers: *workers, paretoOnly: *pareto, jsonOut: *jsonOut,
 			cacheDir: *cacheDir, workloads: workload, curves: *curves,
-			shard: *shard, progress: *progress, stats: *stats,
+			progress: *progress, stats: *stats,
 			traceFile: *traceFile, httpAddr: *httpAddr,
 			adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
 		})
@@ -140,27 +125,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case *mergeCache:
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "-merge-cache needs -cache-dir (the directory holding the shard stores)")
-			os.Exit(1)
-		}
-		journal, closeJournal, err := openJournal(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		files, entries, err := repro.MergeSweepStores(*cacheDir)
-		if err != nil {
-			journal.Emit("merge", map[string]any{"dir": *cacheDir, "error": err.Error()})
-			closeJournal()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		journal.Emit("merge", map[string]any{"dir": *cacheDir, "files": files, "entries": entries})
-		closeJournal()
-		fmt.Printf("merged %d store(s) into %s: %d results\n",
-			files, repro.SweepStorePath(*cacheDir), entries)
 	case *all:
 		out, err := repro.Experiments()
 		if err != nil {
@@ -214,7 +178,7 @@ type sweepConfig struct {
 	workers             int
 	paretoOnly, jsonOut bool
 	cacheDir, workloads string
-	curves, shard       string
+	curves              string
 	progress, stats     bool
 	traceFile, httpAddr string
 	adaptive            bool
@@ -223,9 +187,9 @@ type sweepConfig struct {
 
 // cliFlags captures the parsed flag state the coherence rules inspect.
 type cliFlags struct {
-	list, sweep, all, mergeCache  bool
+	list, sweep, all              bool
 	exp, arch                     string
-	workload, curves, shard       string
+	workload, curves              string
 	adaptive                      bool
 	adaptiveBudget                int
 	jsonOut, pareto, progress     bool
@@ -244,47 +208,41 @@ type cliFlags struct {
 // factored out of main so every rejection is regression-testable.
 func conflictError(c cliFlags) string {
 	modes := 0
-	for _, on := range []bool{c.list, c.sweep, c.all, c.exp != "", c.arch != "", c.mergeCache} {
+	for _, on := range []bool{c.list, c.sweep, c.all, c.exp != "", c.arch != ""} {
 		if on {
 			modes++
 		}
 	}
 	switch {
 	case modes > 1:
-		return "conflicting modes: pick exactly one of -list, -sweep, -all, -exp, -arch, -merge-cache"
-	case c.workload != "" && (c.all || c.exp != "" || c.list || c.mergeCache):
-		// The experiment renderers price fixed scenarios and the merge
-		// is workload-agnostic.
-		return "-workload applies to -arch runs and -sweep; -all/-exp/-list render fixed experiments and -merge-cache merges every stored result"
+		return "conflicting modes: pick exactly one of -list, -sweep, -all, -exp, -arch"
+	case c.workload != "" && (c.all || c.exp != "" || c.list):
+		// The experiment renderers price fixed scenarios.
+		return "-workload applies to -arch runs and -sweep; -all/-exp/-list render fixed experiments"
 	case len(c.axisFlags) > 0:
 		return fmt.Sprintf("-%s applies to -arch runs only; -sweep explores the full axis grid (use -curves/-workload to subset it)", c.axisFlags[0])
-	case (c.shard != "" || c.curves != "") && !c.sweep:
-		return "-shard and -curves apply to -sweep only"
+	case c.curves != "" && !c.sweep:
+		return "-curves applies to -sweep only"
 	case c.adaptive && !c.sweep:
 		return "-adaptive applies to -sweep only: adaptive exploration refines the sweep grid (run dse -sweep -adaptive)"
-	case c.adaptive && c.shard != "":
-		return "-adaptive conflicts with -shard: adaptive rounds pick configurations from live frontiers, so no fixed i/n hash partition covers them (drop -shard, or shard the exhaustive sweep instead)"
 	case c.adaptiveBudget != 0 && !c.adaptive:
 		return "-adaptive-budget applies to -sweep -adaptive only"
 	}
 	if !c.sweep {
 		switch {
-		case c.jsonOut || c.pareto || c.workers != 0 || c.progress || c.httpAddr != "":
-			return "-json, -pareto, -workers, -progress and -http apply to -sweep only"
+		case c.jsonOut || c.pareto || c.workers != 0 || c.progress || c.httpAddr != "" ||
+			c.traceFile != "" || c.cacheDir != "":
+			return "-json, -pareto, -workers, -progress, -http, -trace and -cache-dir apply to -sweep only"
 		case c.stats && c.arch == "":
 			return "-stats applies to -sweep and -arch runs only"
-		case c.traceFile != "" && !c.mergeCache:
-			return "-trace applies to -sweep and -merge-cache only"
-		case c.cacheDir != "" && !c.mergeCache:
-			return "-cache-dir applies to -sweep and -merge-cache only"
 		}
 	}
 	return ""
 }
 
 // openJournal opens (or creates) a run-journal file in append mode so
-// several shard runs and the final merge can share one trace, returning
-// a nil journal (whose Emit is a no-op) when no file was requested.
+// successive sweeps can share one trace, returning a nil journal (whose
+// Emit is a no-op) when no file was requested.
 func openJournal(path string) (*repro.RunJournal, func(), error) {
 	if path == "" {
 		return nil, func() {}, nil
@@ -302,8 +260,7 @@ func openJournal(path string) (*repro.RunJournal, func(), error) {
 	}, nil
 }
 
-// runSweep explores the full design space (or one shard of it) and
-// prints either the whole point cloud or just its Pareto frontier, as
+// runSweep explores the full design space and prints either the whole point cloud or just its Pareto frontier, as
 // text or JSON.
 func runSweep(cfg sweepConfig) error {
 	spec := repro.FullSweepSpec()
@@ -329,16 +286,6 @@ func runSweep(cfg sweepConfig) error {
 		}
 	}
 	opt := repro.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
-	if cfg.shard != "" {
-		idx, count, err := parseShard(cfg.shard)
-		if err != nil {
-			return err
-		}
-		if cfg.cacheDir == "" {
-			return fmt.Errorf("-shard %s without -cache-dir would discard the shard's results (no store to flush to)", cfg.shard)
-		}
-		opt.ShardIndex, opt.ShardCount = idx, count
-	}
 
 	// -stats and -http both need the registry; the simulator hook and the
 	// cache gauges ride along so /metrics shows the whole pipeline.
@@ -431,10 +378,6 @@ func runSweep(cfg sweepConfig) error {
 				res.DiskLoaded, cfg.cacheDir, res.DiskSaved)
 		}
 	}
-	if res.ShardCount > 1 && !cfg.jsonOut {
-		fmt.Printf("shard %d/%d: %d of the grid's configurations belong to this runner\n",
-			res.ShardIndex, res.ShardCount, res.Configs)
-	}
 	if ar != nil && !cfg.jsonOut {
 		fmt.Printf("adaptive exploration: %d/%d grid configurations evaluated (%.0f%%) in %d rounds (%d pruned, %d frontier moves)\n",
 			ar.Evaluated, ar.GridConfigs,
@@ -521,21 +464,6 @@ func printPoints(points []repro.SweepPoint) {
 			p.Config.Arch, p.Config.Curve, label,
 			p.EnergyJ*1e6, p.TimeS*1e3, p.EDP*1e12)
 	}
-}
-
-// parseShard parses an "i/n" shard selector (shard i of n, 0-based).
-func parseShard(s string) (index, count int, err error) {
-	idx, cnt, ok := strings.Cut(s, "/")
-	if ok {
-		index, err = strconv.Atoi(strings.TrimSpace(idx))
-		if err == nil {
-			count, err = strconv.Atoi(strings.TrimSpace(cnt))
-		}
-	}
-	if !ok || err != nil || count < 1 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("bad -shard %q: want i/n with 0 <= i < n (e.g. 0/2)", s)
-	}
-	return index, count, nil
 }
 
 func printResult(r repro.SimResult) {

@@ -66,16 +66,11 @@ type AdaptiveResult struct {
 
 // AdaptiveSweep runs the coarse-to-fine Pareto-guided exploration of a
 // spec. The options are the same as Sweep's (workers, cache, disk
-// store, progress, metrics, journal), except that sharding is rejected:
-// rounds pick their configurations from live frontiers, so no fixed
-// hash partition covers them. Progress reports cumulative evaluations
-// with the total growing as rounds are planned.
+// store, progress, metrics, journal). Progress reports cumulative
+// evaluations with the total growing as rounds are planned.
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.ShardCount > 1 || opt.ShardCount < 0 || opt.ShardIndex != 0 {
-		return nil, fmt.Errorf("dse: adaptive exploration cannot run sharded (shard %d/%d): rounds pick configurations from live frontiers, so no fixed hash partition covers them; run the exhaustive sweep sharded or run adaptive unsharded", opt.ShardIndex, opt.ShardCount)
 	}
 	opt.Adaptive = false // this IS the adaptive path; never re-delegate
 

@@ -213,18 +213,6 @@ func TestAdaptiveWarmDiskUnchanged(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejectsSharding: a sharded adaptive run is a named
-// error, through both entry points.
-func TestAdaptiveRejectsSharding(t *testing.T) {
-	spec := smallSpec()
-	if _, err := AdaptiveSweep(spec, SweepOptions{ShardIndex: 0, ShardCount: 2}); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("AdaptiveSweep sharded: err = %v, want sharding rejection", err)
-	}
-	if _, err := Sweep(spec, SweepOptions{Adaptive: true, ShardIndex: 1, ShardCount: 2}); err == nil || !strings.Contains(err.Error(), "sharded") {
-		t.Errorf("Sweep adaptive+sharded: err = %v, want sharding rejection", err)
-	}
-}
-
 // TestSweepDelegatesAdaptive: SweepOptions.Adaptive routes Sweep
 // through the explorer and returns its evaluated cloud.
 func TestSweepDelegatesAdaptive(t *testing.T) {

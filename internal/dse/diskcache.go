@@ -107,7 +107,8 @@ var modelFingerprint = sync.OnceValue(func() string {
 type diskEntry struct {
 	Hash string `json:"hash"`
 	// Key is the human-readable canonical configuration, stored for
-	// auditability (the hash alone is opaque); LoadFile trusts the hash.
+	// auditability (the hash alone is opaque); LoadFile ignores it and
+	// checks the hash against the result's own configuration instead.
 	Key    string     `json:"key"`
 	Result sim.Result `json:"result"`
 }
@@ -121,10 +122,20 @@ type loadEntry struct {
 	Result sim.Result `json:"result"`
 }
 
+// consistent reports whether a decoded entry is one SaveFile could have
+// written: a priced result filed under its own configuration's hash.
+func (e *loadEntry) consistent() bool {
+	if len(e.Result.Phases) == 0 {
+		return false
+	}
+	cfg := Config{Arch: e.Result.Arch, Curve: e.Result.Curve, Opt: e.Result.Opt}
+	return cfg.Hash() == e.Hash
+}
+
 // scanBufPool recycles LoadFile's scanner buffer across loads: the
-// store is read once per sweep per shard file, and a fresh 64 KB
-// allocation per call was the single largest allocation on the
-// decode-bound warm-disk path (BenchmarkStoreLoad).
+// store is read once per sweep, and a fresh 64 KB allocation per call
+// was the single largest allocation on the decode-bound warm-disk path
+// (BenchmarkStoreLoad).
 var scanBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 64*1024)
@@ -141,7 +152,10 @@ func DiskCachePath(dir string) string { return filepath.Join(dir, DiskCacheFile)
 // version-mismatched or model-mismatched header, and a truncated or
 // corrupted tail are all non-fatal: the valid prefix (possibly empty) is
 // loaded and the rest ignored, so a damaged or stale store costs
-// re-simulation, never a failed sweep.
+// re-simulation, never a failed sweep. A line that parses is still
+// corrupt unless its hash is the hash of its own result's configuration
+// and the result priced at least one phase: a hollow or mismatched entry
+// would otherwise be served as a hit and never repaired.
 func (c *Cache) LoadFile(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -177,7 +191,7 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	var e loadEntry
 	for sc.Scan() {
 		e = loadEntry{}
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Hash == "" {
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || !e.consistent() {
 			return n, nil // truncated/corrupted tail: keep what parsed so far
 		}
 		c.mu.Lock()
@@ -196,47 +210,17 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	return n, nil
 }
 
-// LoadGlob merges every store matching pattern (filepath.Glob syntax)
-// into the cache, returning how many files matched and how many entries
-// were added across them. Entries are keyed by config hash and
-// simulation is deterministic, so overlapping stores agree wherever they
-// overlap: the union is independent of load order. Per-file tolerance is
-// LoadFile's — stale, foreign or corrupted stores contribute nothing but
-// do not fail the load.
-func (c *Cache) LoadGlob(pattern string) (files, entries int, err error) {
-	paths, err := filepath.Glob(pattern)
-	if err != nil {
-		return 0, 0, fmt.Errorf("dse: bad store pattern %q: %w", pattern, err)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		n, err := c.LoadFile(p)
-		if err != nil {
-			return files, entries, err
-		}
-		files++
-		entries += n
-	}
-	return files, entries, nil
-}
-
 // SaveFile atomically persists every successful cached result to path,
 // creating parent directories as needed, and returns how many entries
 // were written. Entries are written in hash order, so two stores holding
-// the same results are byte-identical — usable for shard exchange and
-// byte-level dedup. Error entries are not persisted — a config that
-// failed to simulate is retried by the next process rather than
-// remembered.
-func (c *Cache) SaveFile(path string) (int, error) { return c.saveFile(path, nil) }
-
-// saveFile is SaveFile restricted to the entries keep admits (nil keeps
-// everything); sharded sweeps use it to flush only the hashes their shard
-// owns.
-func (c *Cache) saveFile(path string, keep func(hash string) bool) (int, error) {
+// the same results are byte-identical. Error entries are not persisted —
+// a config that failed to simulate is retried by the next process rather
+// than remembered.
+func (c *Cache) SaveFile(path string) (int, error) {
 	c.mu.Lock()
 	entries := make([]diskEntry, 0, len(c.m))
 	for h, e := range c.m {
-		if e.err != nil || (keep != nil && !keep(h)) {
+		if e.err != nil {
 			continue
 		}
 		entries = append(entries, diskEntry{Hash: h, Result: e.res})

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -271,6 +272,115 @@ func TestDiskCacheSkipsErrorEntries(t *testing.T) {
 	if got, _ := fresh.LoadFile(path); got != 1 {
 		t.Errorf("reloaded %d entries, want 1", got)
 	}
+}
+
+// storeLines fills a store with diskSpec's results and returns its
+// path and lines (header first, no trailing newline).
+func storeLines(t testing.TB) (string, [][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := Sweep(diskSpec(), SweepOptions{Cache: NewCache(), CacheDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	path := DiskCachePath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+}
+
+// withResult returns a store line with its result replaced.
+func withResult(t testing.TB, line []byte, result json.RawMessage) []byte {
+	t.Helper()
+	var e map[string]json.RawMessage
+	if err := json.Unmarshal(line, &e); err != nil {
+		t.Fatal(err)
+	}
+	e["result"] = result
+	out, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDiskCacheHollowOrMismatchedEntryIsCorrupt is the regression test
+// for a store line that parses but cannot be trusted: a hollow result
+// (no phases, so 0 J and 0 s) or a result filed under another
+// configuration's hash. Either must count as corruption — re-simulated
+// and repaired by the next flush — never served as a cache hit.
+func TestDiskCacheHollowOrMismatchedEntryIsCorrupt(t *testing.T) {
+	path, lines := storeLines(t)
+	if len(lines) < 3 {
+		t.Fatalf("store has %d lines, need >= 3 (header + 2 entries)", len(lines))
+	}
+	good := append(bytes.Join(lines, []byte("\n")), '\n')
+	var other struct{ Result json.RawMessage }
+	if err := json.Unmarshal(lines[2], &other); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"hollow":     withResult(t, lines[1], json.RawMessage(`{}`)),
+		"mismatched": withResult(t, lines[1], other.Result),
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			damaged := append([][]byte{lines[0], bad}, lines[2:]...)
+			if err := os.WriteFile(path, append(bytes.Join(damaged, []byte("\n")), '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Sweep(diskSpec(), SweepOptions{Cache: NewCache(), CacheDir: filepath.Dir(path)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CacheMisses == 0 || res.DiskUnchanged {
+				t.Errorf("%s entry served from the store: misses=%d unchanged=%t, want a re-simulation and a flush",
+					name, res.CacheMisses, res.DiskUnchanged)
+			}
+			for _, p := range res.Points {
+				if p.EnergyJ <= 0 || p.TimeS <= 0 {
+					t.Errorf("point %s priced at %g J / %g s", p.Config.Key(), p.EnergyJ, p.TimeS)
+				}
+			}
+			repaired, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(repaired, good) {
+				t.Error("the flush after a corrupt entry did not restore the original store")
+			}
+		})
+	}
+}
+
+// FuzzLoadFile feeds arbitrary bytes after a valid store header to
+// LoadFile. The store is read from disk a process may not have written,
+// so no input may panic, and every entry it admits must be filed under
+// its own result's configuration hash.
+func FuzzLoadFile(f *testing.F) {
+	path, lines := storeLines(f)
+	header := append(append([]byte{}, lines[0]...), '\n')
+	body := append(bytes.Join(lines[1:], []byte("\n")), '\n')
+	f.Add(body)                                                             // a real store
+	f.Add(append(append([]byte{}, body...), lines[1][:len(lines[1])/2]...)) // truncated last line
+	f.Add(append(withResult(f, lines[1], json.RawMessage(`{}`)), '\n'))     // hollow entry
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := filepath.Join(t.TempDir(), filepath.Base(path))
+		if err := os.WriteFile(p, append(append([]byte{}, header...), data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCache()
+		if _, err := c.LoadFile(p); err != nil {
+			t.Fatal(err)
+		}
+		for h, e := range c.m {
+			cfg := Config{Arch: e.res.Arch, Curve: e.res.Curve, Opt: e.res.Opt}
+			if got := cfg.Hash(); got != h {
+				t.Errorf("entry filed under %s holds the result of %s (hash %s)", h, cfg.Key(), got)
+			}
+		}
+	})
 }
 
 func TestSweepMonteWidthAxis(t *testing.T) {

@@ -89,8 +89,8 @@ func FuzzConfigHash(f *testing.F) {
 
 		// The registry-driven Key must reproduce the PR-4-era
 		// hand-written rendering byte for byte: these strings are what
-		// every existing config hash — and therefore every disk store
-		// and shard assignment — was computed from. The corpus predates
+		// every existing config hash — and therefore every disk store —
+		// was computed from. The corpus predates
 		// the line axis, so fuzzConfig never sets it and the legacy
 		// format needs no line token.
 		if legacy := legacyKey(cfg1); key1 != legacy {

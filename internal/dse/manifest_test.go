@@ -27,7 +27,7 @@ func fullSweepManifest() string {
 
 // TestFullSweepManifest pins every canonical key and config hash of the
 // full design-space grid against the checked-in manifest. The hashes are
-// the disk-store and shard-partition keys: a canonicalization or
+// the disk-store keys: a canonicalization or
 // key-format change that perturbs them would silently cold-start every
 // persistent cache and orphan every stored result, so it must fail here
 // loudly instead. Regenerate with
@@ -66,7 +66,7 @@ func TestFullSweepManifest(t *testing.T) {
 		case !ok:
 			t.Errorf("config dropped from FullSweep: %s", key)
 		case got != h:
-			t.Errorf("HASH MOVED for %s: %s -> %s (every disk store and shard assignment breaks)",
+			t.Errorf("HASH MOVED for %s: %s -> %s (every disk store breaks)",
 				key, h[:12], got[:12])
 		}
 	}
@@ -93,43 +93,4 @@ func manifestByKey(t *testing.T, s string) map[string]string {
 		out[key] = hash
 	}
 	return out
-}
-
-// TestManifestMatchesShardPartition checks that the *checked-in*
-// manifest hashes are the strings sharding actually partitions on: for
-// every expanded config, the shard shardConfigs places it in must equal
-// ShardOf applied to the hash recorded in the golden. That is what
-// makes the manifest a faithful guard for shard-store layouts — if
-// live hashes ever diverged from the pinned ones, shard membership
-// would move with them and this comparison would catch it.
-func TestManifestMatchesShardPartition(t *testing.T) {
-	wantBytes, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatalf("missing manifest golden (regenerate with -update): %v", err)
-	}
-	pinned := manifestByKey(t, string(wantBytes))
-	cfgs := FullSweep().Expand()
-	for _, count := range []int{2, 5} {
-		inShard := make(map[string]int, len(cfgs))
-		for idx := 0; idx < count; idx++ {
-			for _, c := range shardConfigs(cfgs, idx, count) {
-				inShard[c.Key()] = idx
-			}
-		}
-		if len(inShard) != len(cfgs) {
-			t.Errorf("count=%d: shard partition covers %d of %d configs", count, len(inShard), len(cfgs))
-		}
-		for _, c := range cfgs {
-			key := c.Key()
-			pinnedHash, ok := pinned[key]
-			if !ok {
-				t.Errorf("config not in manifest golden: %s", key)
-				continue
-			}
-			if got, want := inShard[key], ShardOf(pinnedHash, count); got != want {
-				t.Errorf("count=%d: %s lands in shard %d but its pinned hash maps to %d",
-					count, key, got, want)
-			}
-		}
-	}
 }

@@ -45,28 +45,13 @@ type SweepOptions struct {
 	// the partial flush of a failed sweep), and sweep_end. Best-effort:
 	// journal write errors never fail the sweep (check Journal.Err).
 	Journal *telemetry.Journal
-	// ShardIndex/ShardCount split the expanded configuration list across
-	// cooperating processes or hosts: shard i of n evaluates only the
-	// configurations whose canonical hash ShardOf maps to i, so any
-	// runner set covering every index evaluates the grid exactly once.
-	// ShardCount <= 1 means unsharded. With CacheDir set, a shard loads
-	// the canonical store plus its own shard store and flushes only the
-	// latter (ShardStorePath); MergeStores later combines the shard
-	// stores into the canonical one. A sharded sweep with a nil Cache
-	// uses a private cache, not the process-wide one, so its shard store
-	// cannot pick up shard-owned results from unrelated sweeps; an
-	// explicit Cache is flushed as-is, like any other sweep.
-	ShardIndex int
-	ShardCount int
 	// Adaptive switches Sweep from exhaustive grid evaluation to the
 	// coarse-to-fine Pareto-guided exploration in adaptive.go: a coarse
 	// sub-grid is priced first, then only neighborhoods of the live
 	// per-security-level frontiers are refined, per each axis's declared
 	// Strategy. The returned SweepResult holds only the evaluated
 	// points (a small fraction of the grid); call AdaptiveSweep directly
-	// for the frontiers and exploration economics. Incompatible with
-	// sharding (rounds pick configurations from live frontiers, so no
-	// fixed hash partition covers them).
+	// for the frontiers and exploration economics.
 	Adaptive bool
 	// AdaptiveBudget, when positive, caps how many unique
 	// configurations an adaptive exploration may evaluate; the run stops
@@ -86,13 +71,6 @@ type SweepResult struct {
 	RawPoints int // size of the un-pruned cross-product
 	Configs   int // unique valid configurations this run evaluated
 	Workers   int // pool width actually used
-
-	// ShardIndex/ShardCount record the shard identity when the sweep ran
-	// as one shard of a larger grid (ShardCount > 1); both zero
-	// otherwise. A sharded result's Points cover only that shard's
-	// configurations.
-	ShardIndex int
-	ShardCount int
 
 	// Cache accounting for this sweep only (not cumulative; the cache's
 	// own Stats method is the process-cumulative view).
@@ -114,7 +92,7 @@ type SweepResult struct {
 	Timing *SweepTiming
 }
 
-// Sweep explores the spec's cross-product on a sharded worker pool. Each
+// Sweep explores the spec's cross-product on a worker pool. Each
 // unique configuration is simulated (or served from cache) exactly once;
 // results are assembled in specification order so output is byte-identical
 // for any worker count.
@@ -129,16 +107,6 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.ShardCount < 0 {
-		return nil, fmt.Errorf("dse: negative shard count %d", opt.ShardCount)
-	}
-	sharded := opt.ShardCount > 1
-	if sharded && (opt.ShardIndex < 0 || opt.ShardIndex >= opt.ShardCount) {
-		return nil, fmt.Errorf("dse: shard index %d out of range [0, %d)", opt.ShardIndex, opt.ShardCount)
-	}
-	if !sharded && opt.ShardIndex != 0 {
-		return nil, fmt.Errorf("dse: shard index %d without a shard count", opt.ShardIndex)
-	}
 
 	// telOn gates every timing capture; with neither a registry nor a
 	// journal, the sweep takes no clock readings at all.
@@ -148,13 +116,9 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 		sweepStart = time.Now()
 	}
 	cfgs := spec.Expand()
-	// Expansion economics: unique is counted before sharding (every
-	// shard of a grid sees the same expansion), and raw − pruned −
-	// unique is what canonical deduplication collapsed.
+	// Expansion economics: raw − pruned − unique is what canonical
+	// deduplication collapsed.
 	meta := sweepMeta{start: sweepStart, unique: len(cfgs), lifecycle: true}
-	if sharded {
-		cfgs = shardConfigs(cfgs, opt.ShardIndex, opt.ShardCount)
-	}
 	if telOn {
 		meta.expandDur = time.Since(sweepStart)
 		meta.raw = spec.RawPoints()
@@ -189,10 +153,9 @@ type sweepMeta struct {
 // sweepConfigs evaluates an already-expanded configuration list on the
 // worker pool: store load, cached-or-simulated pricing with ordered
 // progress/journal delivery, and store flush. Sweep calls it once with
-// the spec's full (or shard's) expansion; AdaptiveSweep calls it once
+// the spec's full expansion; AdaptiveSweep calls it once
 // per refinement round with that round's candidates.
 func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMeta) (*SweepResult, error) {
-	sharded := opt.ShardCount > 1
 	telOn := opt.Metrics != nil || opt.Journal != nil
 	sweepStart := meta.start
 	workers := opt.Workers
@@ -214,68 +177,45 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 		}
 	}
 	if opt.Journal != nil && meta.lifecycle {
-		f := map[string]any{
+		opt.Journal.Emit("sweep_start", map[string]any{
 			"configs": len(cfgs), "rawPoints": meta.raw, "workers": workers,
 			"pruned": meta.pruned, "deduped": meta.deduped, "unique": meta.unique,
-		}
-		if sharded {
-			f["shardIndex"], f["shardCount"] = opt.ShardIndex, opt.ShardCount
-		}
-		opt.Journal.Emit("sweep_start", f)
+		})
 	}
 
 	cache := opt.Cache
 	if cache == nil {
 		cache = sharedCache
-		if sharded {
-			// The process-wide cache may hold shard-owned results from
-			// unrelated specs; flushing those into the shard store would
-			// break the merged store's byte-identity with an unsharded
-			// sweep. A shard therefore defaults to a private cache.
-			cache = NewCache()
-		}
 	}
 	var diskLoaded int
 	var loadSeconds float64
 	var loadBytes int64
 	if opt.CacheDir != "" {
-		load := func(path string) error {
-			var start time.Time
-			if telOn {
-				start = time.Now()
-			}
-			n, err := cache.LoadFile(path)
-			if err != nil {
-				return err
-			}
-			diskLoaded += n
-			// A cold sweep has no store yet; LoadFile treats that as
-			// zero entries, and the journal/metrics skip it too rather
-			// than record a phantom load.
-			if size := fileSize(path); telOn && (n > 0 || size > 0) {
-				d := time.Since(start)
-				loadSeconds += d.Seconds()
-				loadBytes += size
-				if opt.Metrics != nil {
-					opt.Metrics.Histogram("store.load").Observe(d)
-					opt.Metrics.Counter("store.load.entries").Add(int64(n))
-					opt.Metrics.Counter("store.load.bytes").Add(size)
-				}
-				opt.Journal.Emit("store_load", map[string]any{
-					"path": path, "entries": n, "seconds": d.Seconds(), "bytes": size,
-				})
-			}
-			return nil
+		path := DiskCachePath(opt.CacheDir)
+		var start time.Time
+		if telOn {
+			start = time.Now()
 		}
-		if err := load(DiskCachePath(opt.CacheDir)); err != nil {
+		var err error
+		diskLoaded, err = cache.LoadFile(path)
+		if err != nil {
 			return nil, err
 		}
-		if sharded {
-			// A shard also reads its own store, so re-running a shard
-			// before any merge is still served from disk.
-			if err := load(ShardStorePath(opt.CacheDir, opt.ShardIndex, opt.ShardCount)); err != nil {
-				return nil, err
+		// A cold sweep has no store yet; LoadFile treats that as zero
+		// entries, and the journal/metrics skip it too rather than record
+		// a phantom load.
+		if size := fileSize(path); telOn && (diskLoaded > 0 || size > 0) {
+			d := time.Since(start)
+			loadSeconds = d.Seconds()
+			loadBytes = size
+			if opt.Metrics != nil {
+				opt.Metrics.Histogram("store.load").Observe(d)
+				opt.Metrics.Counter("store.load.entries").Add(int64(diskLoaded))
+				opt.Metrics.Counter("store.load.bytes").Add(size)
 			}
+			opt.Journal.Emit("store_load", map[string]any{
+				"path": path, "entries": diskLoaded, "seconds": d.Seconds(), "bytes": size,
+			})
 		}
 	}
 
@@ -438,20 +378,11 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 	var flushBytes int64
 	if opt.CacheDir != "" {
 		path := DiskCachePath(opt.CacheDir)
-		var keep func(hash string) bool
-		if sharded {
-			// A shard owns only its partition of the hash space; its
-			// store must hold exactly that, or merged stores would not
-			// be byte-identical to an unsharded one.
-			path = ShardStorePath(opt.CacheDir, opt.ShardIndex, opt.ShardCount)
-			index, count := opt.ShardIndex, opt.ShardCount
-			keep = func(hash string) bool { return ShardOf(hash, count) == index }
-		}
 		// When the store already satisfied the whole sweep and the
 		// in-memory cache holds nothing beyond what it served, the
 		// flush would rewrite identical bytes — skip it and report an
 		// unchanged store (not a phantom save).
-		if sweepErr == nil && !sharded && misses.Load() == 0 &&
+		if sweepErr == nil && misses.Load() == 0 &&
 			(cache.Len() == diskLoaded || (meta.storeSynced && diskLoaded == 0)) {
 			diskUnchanged = true
 			opt.Journal.Emit("store_flush", map[string]any{
@@ -463,7 +394,7 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 				start = time.Now()
 			}
 			var n int
-			n, flushErr = cache.saveFile(path, keep)
+			n, flushErr = cache.SaveFile(path)
 			if telOn {
 				d := time.Since(start)
 				flushSeconds = d.Seconds()
@@ -537,18 +468,12 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 		}
 	}
 
-	shardIndex, shardCount := 0, 0
-	if sharded {
-		shardIndex, shardCount = opt.ShardIndex, opt.ShardCount
-	}
 	return &SweepResult{
 		Spec:          spec,
 		Points:        points,
 		RawPoints:     spec.RawPoints(),
 		Configs:       len(cfgs),
 		Workers:       workers,
-		ShardIndex:    shardIndex,
-		ShardCount:    shardCount,
 		CacheHits:     hits.Load(),
 		CacheMisses:   misses.Load(),
 		DiskLoaded:    diskLoaded,

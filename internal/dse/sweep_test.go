@@ -2,6 +2,8 @@ package dse
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/sim"
@@ -239,5 +241,76 @@ func TestFullSweepShape(t *testing.T) {
 	best := BestPerSecurity(res.Points)
 	if len(best) != 5 {
 		t.Errorf("BestPerSecurity found %d levels, want 5", len(best))
+	}
+}
+
+// TestSweepFlushesPartialResultsOnError is the regression test for the
+// flush-on-error bug: a sweep that dies on its final configuration must
+// still persist every earlier result, not discard the whole run.
+func TestSweepFlushesPartialResultsOnError(t *testing.T) {
+	spec := diskSpec()
+	cfgs := spec.Expand()
+	if len(cfgs) < 2 {
+		t.Fatalf("spec too small: %d configs", len(cfgs))
+	}
+	last := cfgs[len(cfgs)-1]
+
+	// Poison the final configuration so the sweep fails exactly there.
+	cache := NewCache()
+	boom := errors.New("injected simulator failure")
+	cache.mu.Lock()
+	cache.m[last.Hash()] = cacheEntry{err: boom}
+	cache.mu.Unlock()
+
+	dir := t.TempDir()
+	_, err := Sweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: dir})
+	if !errors.Is(err, boom) {
+		t.Fatalf("sweep error = %v, want the injected failure", err)
+	}
+
+	// Every successfully simulated point survived in the store; the
+	// failed config was not persisted and will be retried next run.
+	fresh := NewCache()
+	n, err := fresh.LoadFile(DiskCachePath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(cfgs) - 1; n != want {
+		t.Errorf("store holds %d results after failed sweep, want %d", n, want)
+	}
+	if _, ok := fresh.lookup(last.Hash()); ok {
+		t.Error("failed config was persisted")
+	}
+	for _, cfg := range cfgs[:len(cfgs)-1] {
+		if _, ok := fresh.lookup(cfg.Hash()); !ok {
+			t.Errorf("store lost successfully simulated config %q", cfg.Key())
+		}
+	}
+}
+
+func TestPointToJSONCanonicalizesOptions(t *testing.T) {
+	// A caller-built non-canonical point must emit option fields
+	// consistent with its own hash: an uncached arch shows no cache
+	// geometry or accelerator knobs regardless of what the caller left
+	// in the raw Options.
+	raw := Config{Arch: sim.Baseline, Curve: "P-192", Opt: sim.Options{
+		CacheBytes: 1 << 10, Prefetch: true, BillieDigit: 5, DoubleBuffer: true, MonteWidth: 16,
+	}}
+	res, err := sim.Run(raw.Arch, raw.Curve, sim.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newPoint(raw, res).ToJSON()
+	canon := newPoint(raw.Canonical(), res).ToJSON()
+	rawBytes, _ := json.Marshal(j)
+	canonBytes, _ := json.Marshal(canon)
+	if !bytes.Equal(rawBytes, canonBytes) {
+		t.Errorf("non-canonical point wire form diverges:\n  raw:   %s\n  canon: %s", rawBytes, canonBytes)
+	}
+	if j.CacheBytes != 0 || j.Prefetch || j.BillieDigit != 0 || j.DoubleBuffer || j.MonteWidth != 0 {
+		t.Errorf("uncached-arch point leaks irrelevant knobs: %+v", j)
+	}
+	if j.Hash != raw.Hash() {
+		t.Errorf("wire hash %s != config hash %s", j.Hash, raw.Hash())
 	}
 }

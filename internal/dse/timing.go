@@ -14,9 +14,9 @@ import (
 type SweepTiming struct {
 	// TotalSeconds is the whole Sweep call, expansion to flush.
 	TotalSeconds float64 `json:"totalSeconds"`
-	// ExpandSeconds covers spec expansion (and shard filtering).
+	// ExpandSeconds covers spec expansion.
 	ExpandSeconds float64 `json:"expandSeconds"`
-	// LoadSeconds/LoadBytes cover reading the persistent store(s); zero
+	// LoadSeconds/LoadBytes cover reading the persistent store; zero
 	// without a CacheDir.
 	LoadSeconds float64 `json:"loadSeconds,omitempty"`
 	LoadBytes   int64   `json:"loadBytes,omitempty"`

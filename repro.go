@@ -282,13 +282,6 @@ func FullSweepSpec() SweepSpec { return dse.FullSweep() }
 // Setting SweepOptions.CacheDir makes that cache persistent: results are
 // loaded from disk before the sweep and flushed back after, so repeating
 // a sweep is near-free even across process restarts.
-//
-// Setting SweepOptions.ShardIndex/ShardCount splits the sweep across
-// cooperating processes or hosts: shard i of n evaluates only the
-// configurations whose canonical hash maps to shard i, flushing them to
-// a per-shard store inside CacheDir. MergeSweepStores combines the shard
-// stores into the canonical single store, and AssembleSweepFromStore
-// rebuilds the full SweepResult from it without re-simulating anything.
 func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 	return dse.Sweep(spec, opt)
 }
@@ -300,33 +293,10 @@ func Sweep(spec SweepSpec, opt SweepOptions) (*SweepResult, error) {
 // returned frontiers are key-identical to the exhaustive grid's while a
 // fraction of its configurations is priced; every evaluated point goes
 // through the same execution core (result cache, disk store, telemetry)
-// as Sweep. Sharding is rejected — rounds pick configurations from live
-// frontiers, so no fixed hash partition covers them.
+// as Sweep.
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	return dse.AdaptiveSweep(spec, opt)
 }
-
-// MergeSweepStores combines the canonical and per-shard result stores in
-// dir into the canonical single store, returning how many store files
-// contributed and how many results the merged store holds. The merge is
-// a set union keyed by config hash — idempotent, order-independent, and
-// byte-identical to the store an unsharded sweep of the same grid would
-// write.
-func MergeSweepStores(dir string) (files, entries int, err error) {
-	return dse.MergeStores(dir)
-}
-
-// AssembleSweepFromStore rebuilds the full SweepResult for spec from the
-// canonical store in dir with zero re-simulation; every configuration of
-// the spec must already be present (the state after sharded sweeps plus
-// MergeSweepStores), and a missing one is a named error.
-func AssembleSweepFromStore(spec SweepSpec, dir string) (*SweepResult, error) {
-	return dse.AssembleFromStore(spec, dir)
-}
-
-// SweepStorePath returns the canonical result-store path inside a sweep
-// cache directory.
-func SweepStorePath(dir string) string { return dse.DiskCachePath(dir) }
 
 // Pareto returns the energy-vs-latency Pareto frontier of a point set,
 // sorted by ascending latency.
