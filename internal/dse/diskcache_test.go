@@ -21,6 +21,37 @@ func diskSpec() SweepSpec {
 	}
 }
 
+// storeLines fills a store with diskSpec's results and returns its
+// path and lines (header first, no trailing newline).
+func storeLines(t testing.TB) (string, [][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := Sweep(diskSpec(), SweepOptions{Cache: NewCache(), CacheDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	path := DiskCachePath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+}
+
+// withResult returns a store line with its result replaced.
+func withResult(t testing.TB, line []byte, result json.RawMessage) []byte {
+	t.Helper()
+	var e map[string]json.RawMessage
+	if err := json.Unmarshal(line, &e); err != nil {
+		t.Fatal(err)
+	}
+	e["result"] = result
+	out, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c1 := NewCache()
@@ -70,17 +101,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 }
 
 func TestDiskCacheTruncatedFileRecovers(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache()
-	if _, err := Sweep(diskSpec(), SweepOptions{Cache: c, CacheDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	path := DiskCachePath(dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	path, lines := storeLines(t)
 	if len(lines) < 3 {
 		t.Fatalf("store has %d lines, need >= 3 (header + 2 entries)", len(lines))
 	}
@@ -274,37 +295,6 @@ func TestDiskCacheSkipsErrorEntries(t *testing.T) {
 	}
 }
 
-// storeLines fills a store with diskSpec's results and returns its
-// path and lines (header first, no trailing newline).
-func storeLines(t testing.TB) (string, [][]byte) {
-	t.Helper()
-	dir := t.TempDir()
-	if _, err := Sweep(diskSpec(), SweepOptions{Cache: NewCache(), CacheDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	path := DiskCachePath(dir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return path, bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-}
-
-// withResult returns a store line with its result replaced.
-func withResult(t testing.TB, line []byte, result json.RawMessage) []byte {
-	t.Helper()
-	var e map[string]json.RawMessage
-	if err := json.Unmarshal(line, &e); err != nil {
-		t.Fatal(err)
-	}
-	e["result"] = result
-	out, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestDiskCacheHollowOrMismatchedEntryIsCorrupt is the regression test
 // for a store line that parses but cannot be trusted: a hollow result
 // (no phases, so 0 J and 0 s) or a result filed under another
@@ -359,14 +349,14 @@ func TestDiskCacheHollowOrMismatchedEntryIsCorrupt(t *testing.T) {
 // so no input may panic, and every entry it admits must be filed under
 // its own result's configuration hash.
 func FuzzLoadFile(f *testing.F) {
-	path, lines := storeLines(f)
+	_, lines := storeLines(f)
 	header := append(append([]byte{}, lines[0]...), '\n')
 	body := append(bytes.Join(lines[1:], []byte("\n")), '\n')
 	f.Add(body)                                                             // a real store
 	f.Add(append(append([]byte{}, body...), lines[1][:len(lines[1])/2]...)) // truncated last line
 	f.Add(append(withResult(f, lines[1], json.RawMessage(`{}`)), '\n'))     // hollow entry
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), filepath.Base(path))
+		p := filepath.Join(t.TempDir(), DiskCacheFile)
 		if err := os.WriteFile(p, append(append([]byte{}, header...), data...), 0o644); err != nil {
 			t.Fatal(err)
 		}
