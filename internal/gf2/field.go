@@ -24,6 +24,10 @@ func (a MulAlg) String() string {
 
 // Field is a binary field GF(2^m) defined by an irreducible trinomial or
 // pentanomial f(x) = x^m + x^terms[0] + x^terms[1] + ... + 1.
+//
+// Operations keep no per-field scratch: Mul, Sqr and ReduceFull work in
+// stack arrays. Counters is still updated unsynchronised, so one field
+// serves one goroutine at a time.
 type Field struct {
 	Name  string
 	M     int   // extension degree
@@ -31,6 +35,10 @@ type Field struct {
 	Terms []int // middle exponents of f, descending, excluding m and 0
 	Alg   MulAlg
 	One   Elem
+
+	// fold is Terms followed by 0: a bit at m+j folds back to j+e for
+	// every e in fold. NewField builds it; nothing writes it after.
+	fold []int
 
 	// Counters tracks field-level operation counts for the
 	// latency/energy model.
@@ -74,6 +82,7 @@ func NISTField(name string, alg MulAlg) *Field {
 func NewField(name string, m int, terms []int, alg MulAlg) *Field {
 	k := (m + 31) / 32
 	f := &Field{Name: name, M: m, K: k, Terms: append([]int(nil), terms...), Alg: alg}
+	f.fold = append(append([]int(nil), terms...), 0)
 	f.One = New(k)
 	f.One[0] = 1
 	return f
@@ -85,39 +94,51 @@ func (f *Field) Add(z, a, b Elem) {
 	Add(z, a, b)
 }
 
-// Mul sets z = a*b mod f.
+// Mul sets z = a*b mod f. z may alias a or b.
 func (f *Field) Mul(z, a, b Elem) {
 	f.Counters.Mul++
-	c := make(Elem, 2*f.K)
+	var buf [2 * maxWords]uint32
+	c := scratch(buf[:], 2*f.K)
 	if f.Alg == Comb {
 		MulComb(c, a, b)
 	} else {
 		MulCl(c, a, b)
 	}
 	f.Counters.Red++
-	f.ReduceFull(z, c)
+	f.reduce(c)
+	copy(z, c[:f.K])
 }
 
-// Sqr sets z = a^2 mod f.
+// Sqr sets z = a^2 mod f. z may alias a.
 func (f *Field) Sqr(z, a Elem) {
 	f.Counters.Sqr++
-	c := make(Elem, 2*f.K)
+	var buf [2 * maxWords]uint32
+	c := scratch(buf[:], 2*f.K)
 	if f.Alg == Comb {
 		SqrTable(c, a)
 	} else {
 		SqrCl(c, a)
 	}
 	f.Counters.Red++
-	f.ReduceFull(z, c)
+	f.reduce(c)
+	copy(z, c[:f.K])
 }
 
-// ReduceFull reduces a 2k-word polynomial c modulo f into z (k words).
-// It is the generic word-wise fold of the NIST fast-reduction routines
-// (e.g. Algorithm 7 for B-163): every bit at position m+j folds back to
-// positions j + e for e in {terms..., 0}.
+// ReduceFull reduces a 2k-word polynomial c modulo f into z (k words),
+// leaving c unchanged.
 func (f *Field) ReduceFull(z Elem, c Elem) {
-	t := make(Elem, len(c))
+	var buf [2 * maxWords]uint32
+	t := scratch(buf[:], len(c))
 	copy(t, c)
+	f.reduce(t)
+	copy(z, t[:f.K])
+}
+
+// reduce reduces t modulo f in place, leaving the result in t[:k]. It is
+// the generic word-wise fold of the NIST fast-reduction routines (e.g.
+// Algorithm 7 for B-163): every bit at position m+j folds back to
+// positions j + e for e in {terms..., 0}.
+func (f *Field) reduce(t Elem) {
 	m := f.M
 	// Process from the top word down; repeat in case folds re-set high
 	// bits (cannot happen for m+terms spread < 32... but the loop makes
@@ -145,7 +166,7 @@ func (f *Field) ReduceFull(z Elem, c Elem) {
 			}
 			t[i] = 0
 			base := 32*i - m
-			for _, e := range append(f.Terms, 0) {
+			for _, e := range f.fold {
 				xorShifted(t, w, base+e)
 			}
 		}
@@ -155,12 +176,11 @@ func (f *Field) ReduceFull(z Elem, c Elem) {
 		w := t[i] >> sh
 		if w != 0 {
 			t[i] &= (1 << sh) - 1
-			for _, e := range append(f.Terms, 0) {
+			for _, e := range f.fold {
 				xorShifted(t, w, e)
 			}
 		}
 	}
-	copy(z, t[:f.K])
 }
 
 // xorShifted xors the 32-bit value w, left-shifted by bit positions pos,

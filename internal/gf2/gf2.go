@@ -160,24 +160,74 @@ func Add(z, a, b Elem) {
 	}
 }
 
-// ClMulWord is the 32x32 -> 64 carry-less multiplication the MULGF2
-// instruction implements (Table 5.2).
-func ClMulWord(a, b uint32) (hi, lo uint32) {
-	var p uint64
-	bb := uint64(b)
-	for i := 0; i < 32; i++ {
-		if a&(1<<uint(i)) != 0 {
-			p ^= bb << uint(i)
-		}
+// maxWords is the widest operand, in 32-bit words, whose multiplication
+// and reduction scratch lives in fixed-size stack arrays: 18 words holds
+// B-571, the widest NIST binary field. A wider operand falls back to
+// heap scratch.
+const maxWords = 18
+
+// scratch returns buf[:n], or a fresh n-word slice when buf is too short.
+func scratch(buf []uint32, n int) []uint32 {
+	if n <= len(buf) {
+		return buf[:n]
 	}
+	return make([]uint32, n)
+}
+
+// clMulTab is the 16-entry nibble table of one word b: tab[u] = u(x)·b(x)
+// for every u of degree < 4 (at most 35 bits).
+type clMulTab [16]uint64
+
+func (t *clMulTab) init(b uint32) {
+	bb := uint64(b)
+	t[0] = 0
+	t[1] = bb
+	for u := 2; u < 16; u += 2 {
+		t[u] = t[u/2] << 1
+		t[u+1] = t[u] ^ bb
+	}
+}
+
+// mul returns a(x)·b(x) for the table's b, folding a 4 bits at a time
+// from the top nibble down.
+func (t *clMulTab) mul(a uint32) uint64 {
+	p := t[a>>28]
+	p = p<<4 ^ t[a>>24&0xf]
+	p = p<<4 ^ t[a>>20&0xf]
+	p = p<<4 ^ t[a>>16&0xf]
+	p = p<<4 ^ t[a>>12&0xf]
+	p = p<<4 ^ t[a>>8&0xf]
+	p = p<<4 ^ t[a>>4&0xf]
+	return p<<4 ^ t[a&0xf]
+}
+
+// ClMulWord is the 32x32 -> 64 carry-less multiplication the MULGF2
+// instruction implements (Table 5.2). It folds a 16-entry nibble table of
+// b, 4 bits of a at a time. The window only speeds up the functional
+// product: the modelled cycles and energy of MULGF2 come from the Pete
+// kernels and sim/calibrate.go, so it moves no modelled number.
+func ClMulWord(a, b uint32) (hi, lo uint32) {
+	var t clMulTab
+	t.init(b)
+	p := t.mul(a)
 	return uint32(p >> 32), uint32(p)
 }
 
 // MulCl sets z = a * b (unreduced, 2k words) using word-level carry-less
 // multiplication in a product-scanning arrangement — the ISA-extended
-// software path (Algorithm 3 with MADDGF2).
+// software path (Algorithm 3 with MADDGF2). Each b[j]'s nibble table is
+// built once per multiply; like ClMulWord, this is a functional speedup
+// that moves no modelled cycle or energy. z must not alias a or b.
 func MulCl(z, a, b Elem) {
 	k := len(a)
+	var buf [maxWords]clMulTab
+	tabs := buf[:]
+	if k > maxWords {
+		tabs = make([]clMulTab, k)
+	}
+	for j := 0; j < k; j++ {
+		tabs[j].init(b[j])
+	}
 	var u, v uint32
 	for i := 0; i <= 2*k-2; i++ {
 		lo := 0
@@ -189,9 +239,9 @@ func MulCl(z, a, b Elem) {
 			hi = k - 1
 		}
 		for j := lo; j <= hi; j++ {
-			ph, pl := ClMulWord(a[j], b[i-j])
-			v ^= pl
-			u ^= ph
+			p := tabs[i-j].mul(a[j])
+			v ^= uint32(p)
+			u ^= uint32(p >> 32)
 		}
 		z[i] = v
 		v, u = u, 0
@@ -201,43 +251,48 @@ func MulCl(z, a, b Elem) {
 
 // MulComb sets z = a * b (unreduced, 2k words) using the left-to-right comb
 // method with 4-bit windows (Algorithm 6), the software-only multiplication
-// for processors without a carry-less multiplier.
+// for processors without a carry-less multiplier. Its 16-row table and
+// 2k+1-word accumulator live on the stack up to maxWords; the modelled
+// cost of the comb comes from the Pete kernel, not from this routine.
 func MulComb(z, a, b Elem) {
 	const w = 4
 	k := len(a)
-	// Precompute Bu = u(x)·b(x) for all u of degree < 4.
-	var tab [16]Elem
-	tab[0] = New(k + 1)
-	tab[1] = make(Elem, k+1)
-	copy(tab[1], b)
+	n := k + 1
+	var tbuf [16 * (maxWords + 1)]uint32
+	var cbuf [2*maxWords + 1]uint32
+	tab, c := scratch(tbuf[:], 16*n), scratch(cbuf[:], 2*k+1)
+	row := func(u int) []uint32 { return tab[u*n : (u+1)*n] }
+	// Precompute Bu = u(x)·b(x) for all u of degree < 4. tab starts
+	// zeroed, so row 0 is the zero polynomial.
+	copy(row(1), b)
 	for u := 2; u < 16; u += 2 {
 		// tab[u] = tab[u/2] << 1 ; tab[u+1] = tab[u] + b
-		tab[u] = make(Elem, k+1)
+		src, dst, odd := row(u/2), row(u), row(u+1)
 		var carry uint32
 		for i := 0; i <= k; i++ {
-			tab[u][i] = tab[u/2][i]<<1 | carry
-			carry = tab[u/2][i] >> 31
+			dst[i] = src[i]<<1 | carry
+			carry = src[i] >> 31
 		}
-		tab[u+1] = make(Elem, k+1)
-		copy(tab[u+1], tab[u])
+		copy(odd, dst)
 		for i := 0; i < k; i++ {
-			tab[u+1][i] ^= b[i]
+			odd[i] ^= b[i]
 		}
 	}
-	c := make(Elem, 2*k+1)
 	for j := 32/w - 1; j >= 0; j-- {
 		for i := 0; i < k; i++ {
-			u := (a[i] >> uint(w*j)) & 0xf
+			u := int(a[i]>>uint(w*j)) & 0xf
 			if u != 0 {
-				for l := 0; l <= k; l++ {
-					c[i+l] ^= tab[u][l]
+				r := row(u)
+				ci := c[i : i+n]
+				for l := range r {
+					ci[l] ^= r[l]
 				}
 			}
 		}
 		if j != 0 {
 			// c <<= w
 			var carry uint32
-			for i := 0; i < len(c); i++ {
+			for i := range c {
 				nc := c[i] >> (32 - w)
 				c[i] = c[i]<<w | carry
 				carry = nc
@@ -275,7 +330,9 @@ func SqrTable(z, a Elem) {
 }
 
 // SqrCl sets z = a^2 (unreduced) using the carry-less multiplier with a
-// 32-bit window, the ISA-extended squaring path.
+// 32-bit window, the ISA-extended squaring path. It runs on the windowed
+// ClMulWord, which computes the MULGF2 product functionally only: the
+// modelled squaring cost comes from the Pete kernels and sim/calibrate.go.
 func SqrCl(z, a Elem) {
 	for i := 0; i < len(a); i++ {
 		hi, lo := ClMulWord(a[i], a[i])

@@ -64,13 +64,49 @@ func randElem(r *rand.Rand, f *Field) Elem {
 	return z
 }
 
+// clMulWordSerial is the bit-serial 32-step loop the MULGF2 instruction
+// is defined by (Table 5.2): the oracle for the windowed ClMulWord.
+func clMulWordSerial(a, b uint32) (hi, lo uint32) {
+	var p uint64
+	bb := uint64(b)
+	for i := 0; i < 32; i++ {
+		if a&(1<<uint(i)) != 0 {
+			p ^= bb << uint(i)
+		}
+	}
+	return uint32(p >> 32), uint32(p)
+}
+
+// TestClMulWord checks the windowed ClMulWord against the serial loop on
+// every pair of low bytes and on edge words, and against both the serial
+// loop and math/big on random words.
 func TestClMulWord(t *testing.T) {
+	matchesSerial := func(a, b uint32) bool {
+		hi, lo := ClMulWord(a, b)
+		wh, wl := clMulWordSerial(a, b)
+		return hi == wh && lo == wl
+	}
+	for a := uint32(0); a < 256; a++ {
+		for b := uint32(0); b < 256; b++ {
+			if !matchesSerial(a, b) {
+				t.Fatalf("ClMulWord(%#x, %#x) differs from the serial loop", a, b)
+			}
+		}
+	}
+	edges := []uint32{0, 1, 0x80000000, 0xffffffff}
+	for _, a := range edges {
+		for _, b := range edges {
+			if !matchesSerial(a, b) {
+				t.Fatalf("ClMulWord(%#x, %#x) differs from the serial loop", a, b)
+			}
+		}
+	}
 	err := quick.Check(func(a, b uint32) bool {
 		hi, lo := ClMulWord(a, b)
 		want := bigClMul(big.NewInt(int64(a)), big.NewInt(int64(b)))
 		got := new(big.Int).SetUint64(uint64(hi)<<32 | uint64(lo))
-		return want.Cmp(got) == 0
-	}, &quick.Config{MaxCount: 2000})
+		return want.Cmp(got) == 0 && matchesSerial(a, b)
+	}, &quick.Config{MaxCount: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,5 +323,74 @@ func TestCounters(t *testing.T) {
 	f.Add(z, a, a)
 	if f.Counters.Mul != 1 || f.Counters.Sqr != 1 || f.Counters.Add != 1 {
 		t.Errorf("counters wrong: %+v", f.Counters)
+	}
+}
+
+// algs lists both multiplication strategies of a binary field.
+var algs = []MulAlg{Comb, CLMul}
+
+func TestMulSqrDoNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for _, name := range BinaryFieldNames {
+		for _, alg := range algs {
+			f := NISTField(name, alg)
+			a, b, z := randElem(r, f), randElem(r, f), New(f.K)
+			if n := testing.AllocsPerRun(20, func() { f.Mul(z, a, b) }); n != 0 {
+				t.Errorf("%s %v: Mul allocates %v times per op", name, alg, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { f.Sqr(z, a) }); n != 0 {
+				t.Errorf("%s %v: Sqr allocates %v times per op", name, alg, n)
+			}
+		}
+	}
+}
+
+func TestMulSqrAliasing(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, name := range BinaryFieldNames {
+		for _, alg := range algs {
+			f := NISTField(name, alg)
+			for i := 0; i < 10; i++ {
+				a := randElem(r, f)
+				want := New(f.K)
+				f.Mul(want, a, a)
+				x := a.Clone()
+				f.Mul(x, x, x)
+				if !Equal(x, want) {
+					t.Fatalf("%s %v: Mul(x, x, x) differs from Mul(z, x, x)", name, alg)
+				}
+				f.Sqr(want, a)
+				x = a.Clone()
+				f.Sqr(x, x)
+				if !Equal(x, want) {
+					t.Fatalf("%s %v: Sqr(x, x) differs from Sqr(z, x)", name, alg)
+				}
+			}
+		}
+	}
+}
+
+// TestWideFieldHeapFallback runs a field wider than maxWords, whose
+// scratch cannot live in the stack arrays, against math/big.
+func TestWideFieldHeapFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	for _, alg := range algs {
+		f := NewField("wide", 600, []int{12, 7, 5}, alg)
+		if f.K <= maxWords {
+			t.Fatalf("K = %d does not exceed maxWords = %d", f.K, maxWords)
+		}
+		fb := f.bigModulus()
+		for i := 0; i < 10; i++ {
+			a, b := randElem(r, f), randElem(r, f)
+			z := New(f.K)
+			f.Mul(z, a, b)
+			if want := bigMod(bigClMul(toBig(a), toBig(b)), fb); toBig(z).Cmp(want) != 0 {
+				t.Fatalf("%v: wide Mul mismatch", alg)
+			}
+			f.Sqr(z, a)
+			if want := bigMod(bigClMul(toBig(a), toBig(a)), fb); toBig(z).Cmp(want) != 0 {
+				t.Fatalf("%v: wide Sqr mismatch", alg)
+			}
+		}
 	}
 }

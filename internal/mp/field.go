@@ -43,16 +43,20 @@ func (a MulAlg) String() string {
 // microcode likewise keeps operands in the Montgomery domain only inside a
 // scalar multiplication; our EC layer batches domain conversions the same
 // way via MontIn/MontOut).
+//
+// Operations keep no per-field scratch: Mul, Sqr and the reductions work
+// in stack arrays. Counters is still updated unsynchronised, so one field
+// serves one goroutine at a time.
 type Field struct {
-	Name   string
-	Bits   int
-	K      int // words per element
-	P      Int
-	Alg    MulAlg
-	N0Inv  uint32 // -p^-1 mod 2^32
-	RR     Int    // R^2 mod p, R = 2^(32k)
-	One    Int
-	reduce func(p Int, c Int) Int // NIST fast reduction; nil → Montgomery only
+	Name  string
+	Bits  int
+	K     int // words per element
+	P     Int
+	Alg   MulAlg
+	N0Inv uint32 // -p^-1 mod 2^32
+	RR    Int    // R^2 mod p, R = 2^(32k)
+	One   Int
+	nist  int // bit size of the NIST prime fastReduce folds with; 0 → Montgomery only
 
 	// Counters tracks how many of each field operation ran; the
 	// simulation layer reads these to cost a workload.
@@ -75,18 +79,7 @@ func NewField(name string, bits int, p Int, alg MulAlg) *Field {
 	f.N0Inv = N0Inv32(p[0])
 	f.One = New(k)
 	f.One[0] = 1
-	switch name {
-	case "P-192":
-		f.reduce = reduce192
-	case "P-224":
-		f.reduce = reduce224
-	case "P-256":
-		f.reduce = reduce256
-	case "P-384":
-		f.reduce = reduce384
-	case "P-521":
-		f.reduce = reduce521
-	}
+	f.nist = nistReduction[name]
 	// RR = 2^(64k) mod p, computed by repeated doubling.
 	rr := New(k)
 	rr[0] = 1
@@ -108,6 +101,10 @@ var (
 	P384 = MustHex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffff0000000000000000ffffffff", 12)
 	P521 = MustHex("1ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff", 17)
 )
+
+// nistReduction maps a NIST prime's name to the bit size that selects its
+// fast-reduction routine in fastReduce.
+var nistReduction = map[string]int{"P-192": 192, "P-224": 224, "P-256": 256, "P-384": 384, "P-521": 521}
 
 // NISTField returns a fresh Field for the named NIST prime.
 func NISTField(name string, alg MulAlg) *Field {
@@ -150,45 +147,62 @@ func (f *Field) Sub(z, a, b Int) {
 // Dbl sets z = 2a mod p.
 func (f *Field) Dbl(z, a Int) { f.Add(z, a, a) }
 
+// maxWords is the widest operand, in 32-bit words, whose multiplication
+// and reduction scratch lives in fixed-size stack arrays: 18 words holds
+// the B-571 group order, the widest modulus ecdsa builds a Field over
+// (P-521 needs 17). A wider operand falls back to heap scratch.
+const maxWords = 18
+
+// scratch returns buf[:n], or a fresh n-word slice when buf is too short.
+func scratch[W uint32 | uint64](buf []W, n int) []W {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]W, n)
+}
+
 // Mul sets z = a * b mod p using the field's strategy. Operands and result
-// are in the plain domain.
+// are in the plain domain. z may alias a or b.
 func (f *Field) Mul(z, a, b Int) {
 	f.Counters.Mul++
 	switch f.Alg {
 	case OSNIST, PSNIST:
-		c := make(Int, 2*f.K)
+		var buf [2 * maxWords]uint32
+		c := scratch(buf[:], 2*f.K)
 		if f.Alg == OSNIST {
 			MulOS(c, a, b)
 		} else {
 			MulPS(c, a, b)
 		}
 		f.Counters.Red++
-		copy(z, f.fastReduce(c))
+		f.fastReduce(z, c)
 	case CIOS, FIPS:
 		// aR * b * R^-1 = a*b; convert a into the Montgomery domain
 		// first, then one more Montgomery multiply by b.
-		t := make(Int, f.K)
+		var buf [maxWords]uint32
+		t := scratch(buf[:], f.K)
 		f.montMul(t, a, f.RR) // t = aR
 		f.montMul(z, t, b)    // z = ab
 	}
 }
 
-// Sqr sets z = a^2 mod p.
+// Sqr sets z = a^2 mod p. z may alias a.
 func (f *Field) Sqr(z, a Int) {
 	f.Counters.Sqr++
 	switch f.Alg {
-	case OSNIST:
-		c := make(Int, 2*f.K)
-		MulOS(c, a, a)
+	case OSNIST, PSNIST:
+		var buf [2 * maxWords]uint32
+		c := scratch(buf[:], 2*f.K)
+		if f.Alg == OSNIST {
+			MulOS(c, a, a)
+		} else {
+			SqrPS(c, a)
+		}
 		f.Counters.Red++
-		copy(z, f.fastReduce(c))
-	case PSNIST:
-		c := make(Int, 2*f.K)
-		SqrPS(c, a)
-		f.Counters.Red++
-		copy(z, f.fastReduce(c))
+		f.fastReduce(z, c)
 	default:
-		t := make(Int, f.K)
+		var buf [maxWords]uint32
+		t := scratch(buf[:], f.K)
 		f.montMul(t, a, f.RR)
 		f.montMul(z, t, a)
 	}
@@ -217,27 +231,46 @@ func (f *Field) MontMul(z, a, b Int) {
 }
 
 // FastReduce reduces a full 2k-word product with the field's NIST routine
-// (or Montgomery fallback); exported for the kernel cross-checks.
-func (f *Field) FastReduce(c Int) Int { return f.fastReduce(c) }
+// (or Montgomery fallback) into a fresh element; exported for the kernel
+// cross-checks.
+func (f *Field) FastReduce(c Int) Int {
+	z := New(f.K)
+	f.fastReduce(z, c)
+	return z
+}
 
-func (f *Field) fastReduce(c Int) Int {
-	if f.reduce == nil {
-		// Fallback for moduli without a NIST routine: Montgomery
-		// REDC twice (c*R^-1 then multiply by RR... simpler: REDC
-		// then fix with RR).
-		t := make(Int, f.K)
-		MontREDC(t, c, f.P, f.N0Inv) // t = c R^-1
-		z := make(Int, f.K)
-		MontMulCIOS(z, t, f.RR, f.P, f.N0Inv) // z = c
-		return z
+// fastReduce sets z = c mod p for a 2k-word c.
+func (f *Field) fastReduce(z, c Int) {
+	z = z[:f.K]
+	switch f.nist {
+	case 192:
+		reduce192(z, f.P, c)
+	case 224:
+		reduce224(z, f.P, c)
+	case 256:
+		reduce256(z, f.P, c)
+	case 384:
+		reduce384(z, f.P, c)
+	case 521:
+		reduce521(z, f.P, c)
+	default:
+		// Moduli without a NIST routine: Montgomery REDC gives
+		// c R^-1, and one Montgomery multiply by RR restores c.
+		var buf [maxWords]uint32
+		t := scratch(buf[:], f.K)
+		MontREDC(t, c, f.P, f.N0Inv)
+		MontMulCIOS(z, t, f.RR, f.P, f.N0Inv)
 	}
-	return f.reduce(f.P, c)
 }
 
 // Inv sets z = a^-1 mod p using the binary extended Euclidean algorithm
-// (the software inversion the paper uses outside the accelerators).
+// (the software inversion the paper uses outside the accelerators). a must
+// be nonzero and below p; Inv panics on zero.
 func (f *Field) Inv(z, a Int) {
 	f.Counters.Inv++
+	if a.IsZero() {
+		panic("mp: inverse of zero")
+	}
 	copy(z, f.invBEEA(a))
 }
 

@@ -22,10 +22,13 @@ func N0Inv32(n0 uint32) uint32 {
 
 // MontMulCIOS sets z = a * b * R^-1 mod n using CIOS with R = 2^(32k),
 // exactly Algorithm 5. a, b, n, z all have k words; a and b must be < n.
-// z may alias a or b.
+// z may alias a or b. Its scratch lives on the stack up to maxWords.
 func MontMulCIOS(z, a, b, n Int, n0inv uint32) {
 	k := len(n)
-	t := make([]uint64, k+2) // t[k+1] holds the top carry word
+	var tbuf [maxWords + 2]uint64
+	var rbuf [maxWords]uint32
+	t := scratch(tbuf[:], k+2) // t[k+1] holds the top carry word
+	res := Int(scratch(rbuf[:], k))
 	for i := 0; i < k; i++ {
 		// Multiplication pass: t += a * b[i]
 		var c uint64
@@ -53,7 +56,6 @@ func MontMulCIOS(z, a, b, n Int, n0inv uint32) {
 		t[k+1] = 0
 	}
 	// Final conditional subtraction.
-	res := make(Int, k)
 	for i := 0; i < k; i++ {
 		res[i] = uint32(t[i])
 	}
@@ -68,7 +70,9 @@ func MontMulCIOS(z, a, b, n Int, n0inv uint32) {
 // using the same (t,u,v) accumulator the ADDAU/SHA extensions provide.
 func MontMulFIPS(z, a, b, n Int, n0inv uint32) {
 	k := len(n)
-	m := make(Int, k)
+	var mbuf [maxWords]uint32
+	var rbuf [maxWords + 1]uint32
+	m, res := scratch(mbuf[:], k), scratch(rbuf[:], k+1)
 	var t, u, v uint32
 	maddu := func(x, y uint32) {
 		p := uint64(x) * uint64(y)
@@ -91,7 +95,6 @@ func MontMulFIPS(z, a, b, n Int, n0inv uint32) {
 		}
 		v, u, t = u, t, 0
 	}
-	res := make(Int, k+1)
 	for i := k; i <= 2*k-1; i++ {
 		for j := i - k + 1; j < k; j++ {
 			maddu(a[j], b[i-j])
@@ -111,7 +114,9 @@ func MontMulFIPS(z, a, b, n Int, n0inv uint32) {
 // reduction), used to convert out of the Montgomery domain.
 func MontREDC(z Int, c Int, n Int, n0inv uint32) {
 	k := len(n)
-	t := make([]uint64, 2*k+1)
+	var tbuf [2*maxWords + 1]uint64
+	var rbuf [maxWords + 1]uint32
+	t, res := scratch(tbuf[:], 2*k+1), Int(scratch(rbuf[:], k+1))
 	for i, w := range c {
 		t[i] = uint64(w)
 	}
@@ -129,7 +134,6 @@ func MontREDC(z Int, c Int, n Int, n0inv uint32) {
 			carry = s >> 32
 		}
 	}
-	res := make(Int, k+1)
 	for i := 0; i <= k; i++ {
 		res[i] = uint32(t[k+i])
 	}

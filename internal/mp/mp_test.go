@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func toBig(x Int) *big.Int {
@@ -172,7 +173,7 @@ func TestNISTReduction(t *testing.T) {
 			a, b := randMod(r, f.P), randMod(r, f.P)
 			c := New(2 * f.K)
 			MulOS(c, a, b)
-			got := f.fastReduce(c)
+			got := f.FastReduce(c)
 			want := new(big.Int).Mul(toBig(a), toBig(b))
 			want.Mod(want, pb)
 			if toBig(got).Cmp(want) != 0 {
@@ -439,5 +440,100 @@ func TestCounters(t *testing.T) {
 	f.Sqr(z, a)
 	if f.Counters.Mul != 1 || f.Counters.Add != 1 || f.Counters.Sqr != 1 {
 		t.Errorf("counters wrong: %+v", f.Counters)
+	}
+}
+
+func TestInvZeroPanics(t *testing.T) {
+	f := NISTField("P-192", OSNIST)
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f.Inv(New(f.K), New(f.K))
+	}()
+	select {
+	case r := <-done:
+		if r == nil {
+			t.Error("Inv(0) should panic")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Inv(0) did not return within 5s")
+	}
+}
+
+// allAlgs lists every multiplication strategy of a prime field.
+var allAlgs = []MulAlg{OSNIST, PSNIST, CIOS, FIPS}
+
+// b571Order is the group order of B-571: 18 words, the widest modulus
+// ecdsa builds a Field over.
+var b571Order = MustHex("3ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffe661ce18ff55987308059b186823851ec7dd9ca1161de93d5174d66e8382e9bb2fe84e47", 18)
+
+func TestMulSqrDoNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	fields := []*Field{NewField("order", 570, b571Order, CIOS)}
+	for _, name := range PrimeFieldNames {
+		for _, alg := range []MulAlg{OSNIST, PSNIST, CIOS} {
+			fields = append(fields, NISTField(name, alg))
+		}
+	}
+	for _, f := range fields {
+		a, b, z := randMod(r, f.P), randMod(r, f.P), New(f.K)
+		if n := testing.AllocsPerRun(20, func() { f.Mul(z, a, b) }); n != 0 {
+			t.Errorf("%s %v: Mul allocates %v times per op", f.Name, f.Alg, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { f.Sqr(z, a) }); n != 0 {
+			t.Errorf("%s %v: Sqr allocates %v times per op", f.Name, f.Alg, n)
+		}
+	}
+}
+
+func TestMulSqrAliasing(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, name := range PrimeFieldNames {
+		for _, alg := range allAlgs {
+			f := NISTField(name, alg)
+			for i := 0; i < 10; i++ {
+				a := randMod(r, f.P)
+				want := New(f.K)
+				f.Mul(want, a, a)
+				x := a.Clone()
+				f.Mul(x, x, x)
+				if Cmp(x, want) != 0 {
+					t.Fatalf("%s %v: Mul(x, x, x) differs from Mul(z, x, x)", name, alg)
+				}
+				f.Sqr(want, a)
+				x = a.Clone()
+				f.Sqr(x, x)
+				if Cmp(x, want) != 0 {
+					t.Fatalf("%s %v: Sqr(x, x) differs from Sqr(z, x)", name, alg)
+				}
+			}
+		}
+	}
+}
+
+// TestWideFieldHeapFallback runs a modulus wider than maxWords, whose
+// scratch cannot live in the stack arrays, against math/big.
+func TestWideFieldHeapFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	p := randInt(r, maxWords+1)
+	p[0] |= 1
+	p[maxWords] |= 1 << 31
+	pb := toBig(p)
+	for _, alg := range allAlgs {
+		f := NewField("wide", 32*len(p), p, alg)
+		for i := 0; i < 10; i++ {
+			a, b := randMod(r, p), randMod(r, p)
+			z := New(f.K)
+			f.Mul(z, a, b)
+			want := new(big.Int).Mul(toBig(a), toBig(b))
+			if want.Mod(want, pb); toBig(z).Cmp(want) != 0 {
+				t.Fatalf("%v: wide Mul mismatch", alg)
+			}
+			f.Sqr(z, a)
+			want.Mul(toBig(a), toBig(a))
+			if want.Mod(want, pb); toBig(z).Cmp(want) != 0 {
+				t.Fatalf("%v: wide Sqr mismatch", alg)
+			}
+		}
 	}
 }
