@@ -14,7 +14,7 @@
 //	dse -sweep -workers 8 -json  # machine-readable, 8-way parallel
 //	dse -sweep -pareto           # energy-vs-latency frontier only
 //	dse -sweep -cache-dir .dse   # persist results; re-sweeps are near-free
-//	dse -sweep -progress         # live per-point counter on stderr
+//	dse -sweep -stats            # post-run stage timing and counters
 //	dse -sweep -workload ecdh,handshake  # sweep exactly these scenarios
 //	                                     # (replaces the default sign-verify axis)
 //	dse -sweep -curves P-192,B-163       # restrict the curve axis
@@ -32,8 +32,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
@@ -51,15 +49,13 @@ func main() {
 		workers  = flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS)")
 		jsonOut  = flag.Bool("json", false, "with -sweep: machine-readable JSON output")
 		cacheDir = flag.String("cache-dir", "", "with -sweep: persist the result cache in this directory so repeated sweeps are served from disk")
-		progress = flag.Bool("progress", false, "with -sweep: render a live per-point progress counter to stderr")
 		curves   = flag.String("curves", "", "with -sweep: comma-separated curve subset replacing the full 10-curve axis")
 
 		adaptive       = flag.Bool("adaptive", false, "with -sweep: adaptive Pareto-guided exploration — refine around the live per-security-level frontiers instead of pricing the whole grid")
 		adaptiveBudget = flag.Int("adaptive-budget", 0, "with -sweep -adaptive: evaluate at most this many configurations (0 = explore until the frontiers stop moving)")
 
-		stats     = flag.Bool("stats", false, "after a -sweep or -arch run: print collected telemetry (per-phase census-vs-pricing split, sweep stage timing, cache counters)")
+		stats     = flag.Bool("stats", false, "after a -sweep or -arch run: print collected telemetry (per-phase census-vs-pricing split, census memo and sweep point counters, sweep stage timing)")
 		traceFile = flag.String("trace", "", "with -sweep: append one JSON event per run stage (sweep start/point/flush/end) to this file")
-		httpAddr  = flag.String("http", "", "with -sweep: serve live /metrics, /progress and /debug/pprof on this address (e.g. :8080) while the sweep runs")
 	)
 	// Every design-space flag is generated from the dse axis registry:
 	// the dimension selectors (-arch, -curve) from the dimension axes,
@@ -75,20 +71,11 @@ func main() {
 	// string is read back from the generated flag.
 	workload := flag.CommandLine.Lookup("workload").Value.String()
 
-	// The design-space flags other than -workload configure a single
-	// -arch run; collected here so the coherence rules can reject one a
-	// sweep or experiment mode would silently drop.
+	// Collected here so the coherence rules can reject a single-run flag
+	// that a sweep or experiment mode would silently drop.
 	var axisFlags []string
 	if *arch == "" {
-		isAxis := make(map[string]bool)
-		for _, name := range repro.AxisFlagNames() {
-			isAxis[name] = true
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if isAxis[f.Name] && f.Name != "workload" {
-				axisFlags = append(axisFlags, f.Name)
-			}
-		})
+		axisFlags = runOnlyFlags(flag.CommandLine)
 	}
 	// Every flag-coherence rule lives in conflictError so each rejection
 	// is regression-testable; main only prints the verdict and exits.
@@ -97,9 +84,9 @@ func main() {
 		exp: *exp, arch: *arch,
 		workload: workload, curves: *curves,
 		adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
-		jsonOut: *jsonOut, pareto: *pareto, progress: *progress,
+		jsonOut: *jsonOut, pareto: *pareto,
 		workers: *workers, stats: *stats,
-		traceFile: *traceFile, cacheDir: *cacheDir, httpAddr: *httpAddr,
+		traceFile: *traceFile, cacheDir: *cacheDir,
 		axisFlags: axisFlags,
 	}); msg != "" {
 		fmt.Fprintln(os.Stderr, msg)
@@ -117,8 +104,7 @@ func main() {
 		err := runSweep(sweepConfig{
 			workers: *workers, paretoOnly: *pareto, jsonOut: *jsonOut,
 			cacheDir: *cacheDir, workloads: workload, curves: *curves,
-			progress: *progress, stats: *stats,
-			traceFile: *traceFile, httpAddr: *httpAddr,
+			stats: *stats, traceFile: *traceFile,
 			adaptive: *adaptive, adaptiveBudget: *adaptiveBudget,
 		})
 		if err != nil {
@@ -178,27 +164,42 @@ type sweepConfig struct {
 	workers             int
 	paretoOnly, jsonOut bool
 	cacheDir, workloads string
-	curves              string
-	progress, stats     bool
-	traceFile, httpAddr string
-	adaptive            bool
+	curves, traceFile   string
+	stats, adaptive     bool
 	adaptiveBudget      int
 }
 
 // cliFlags captures the parsed flag state the coherence rules inspect.
 type cliFlags struct {
-	list, sweep, all              bool
-	exp, arch                     string
-	workload, curves              string
-	adaptive                      bool
-	adaptiveBudget                int
-	jsonOut, pareto, progress     bool
-	workers                       int
-	stats                         bool
-	traceFile, cacheDir, httpAddr string
-	// axisFlags are non-workload design-space flags set without -arch
-	// (they configure a single -arch run only).
+	list, sweep, all    bool
+	exp, arch           string
+	workload, curves    string
+	adaptive            bool
+	adaptiveBudget      int
+	jsonOut, pareto     bool
+	workers             int
+	stats               bool
+	traceFile, cacheDir string
+	// axisFlags are the single-run design-space flags set without -arch
+	// (see runOnlyFlags).
 	axisFlags []string
+}
+
+// runOnlyFlags returns the design-space flags set on fs that configure
+// a single -arch run only: -curve and every option-axis flag but
+// -workload, which doubles as the sweep's scenario list.
+func runOnlyFlags(fs *flag.FlagSet) []string {
+	runOnly := map[string]bool{"curve": true}
+	for _, name := range repro.AxisFlagNames() {
+		runOnly[name] = name != "workload"
+	}
+	var out []string
+	fs.Visit(func(f *flag.Flag) {
+		if runOnly[f.Name] {
+			out = append(out, f.Name)
+		}
+	})
+	return out
 }
 
 // conflictError returns the message dse prints (exiting 1) for a flag
@@ -216,6 +217,8 @@ func conflictError(c cliFlags) string {
 	switch {
 	case modes > 1:
 		return "conflicting modes: pick exactly one of -list, -sweep, -all, -exp, -arch"
+	case c.workers < 0:
+		return fmt.Sprintf("-workers %d: want a non-negative pool width (0 = GOMAXPROCS)", c.workers)
 	case c.workload != "" && (c.all || c.exp != "" || c.list):
 		// The experiment renderers price fixed scenarios.
 		return "-workload applies to -arch runs and -sweep; -all/-exp/-list render fixed experiments"
@@ -230,9 +233,8 @@ func conflictError(c cliFlags) string {
 	}
 	if !c.sweep {
 		switch {
-		case c.jsonOut || c.pareto || c.workers != 0 || c.progress || c.httpAddr != "" ||
-			c.traceFile != "" || c.cacheDir != "":
-			return "-json, -pareto, -workers, -progress, -http, -trace and -cache-dir apply to -sweep only"
+		case c.jsonOut || c.pareto || c.workers != 0 || c.traceFile != "" || c.cacheDir != "":
+			return "-json, -pareto, -workers, -trace and -cache-dir apply to -sweep only"
 		case c.stats && c.arch == "":
 			return "-stats applies to -sweep and -arch runs only"
 		}
@@ -287,13 +289,12 @@ func runSweep(cfg sweepConfig) error {
 	}
 	opt := repro.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
 
-	// -stats and -http both need the registry; the simulator hook and the
-	// cache gauges ride along so /metrics shows the whole pipeline.
+	// -stats reports the simulator's per-phase split too, so the
+	// simulator hook shares the sweep's registry.
 	var reg *repro.Metrics
-	if cfg.stats || cfg.httpAddr != "" {
+	if cfg.stats {
 		reg = repro.NewMetrics()
 		repro.EnableSimMetrics(reg)
-		repro.RegisterCacheMetrics(reg)
 		opt.Metrics = reg
 	}
 	journal, closeJournal, err := openJournal(cfg.traceFile)
@@ -303,41 +304,6 @@ func runSweep(cfg sweepConfig) error {
 	defer closeJournal()
 	opt.Journal = journal
 
-	var track *repro.SweepProgressTracker
-	if cfg.httpAddr != "" {
-		track = &repro.SweepProgressTracker{}
-		ln, err := net.Listen("tcp", cfg.httpAddr)
-		if err != nil {
-			return fmt.Errorf("-http %s: %w", cfg.httpAddr, err)
-		}
-		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics, /progress and /debug/pprof on http://%s\n", ln.Addr())
-		srv := &http.Server{Handler: repro.TelemetryHandler(reg, track)}
-		go srv.Serve(ln)
-		defer srv.Close()
-	}
-
-	// The progress callback only paints the live \r-overwritten counter;
-	// the newline-terminated final tally is printed after Sweep returns
-	// (success or failure), so an aborted sweep never leaves a stale
-	// partial line for the next output to collide with.
-	var rendered bool
-	var lastDone, cachedSoFar int
-	if cfg.progress || track != nil {
-		opt.Progress = func(done, total int, fromCache bool) {
-			lastDone = done
-			if fromCache {
-				cachedSoFar++
-			}
-			if track != nil {
-				track.Observe(done, total, fromCache)
-			}
-			if cfg.progress {
-				rendered = true
-				fmt.Fprintf(os.Stderr, "\rsweep: %d/%d configurations (%d cached)", done, total, cachedSoFar)
-			}
-		}
-	}
 	var (
 		res *repro.SweepResult
 		ar  *repro.AdaptiveResult
@@ -350,21 +316,6 @@ func runSweep(cfg sweepConfig) error {
 		}
 	} else {
 		res, err = repro.Sweep(spec, opt)
-	}
-	if rendered {
-		// Terminate (and on failure, visibly close off) the live line.
-		fmt.Fprintln(os.Stderr)
-	}
-	if cfg.progress {
-		simulated, cached := lastDone-cachedSoFar, cachedSoFar
-		if res != nil {
-			simulated, cached = int(res.CacheMisses), int(res.CacheHits)
-		}
-		status := "done"
-		if err != nil {
-			status = "failed"
-		}
-		fmt.Fprintf(os.Stderr, "sweep %s: %d simulated, %d cached\n", status, simulated, cached)
 	}
 	if err != nil {
 		return err

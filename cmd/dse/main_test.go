@@ -1,8 +1,12 @@
 package main
 
 import (
+	"flag"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestConflictError pins every flag-coherence rejection (and the
@@ -22,6 +26,9 @@ func TestConflictError(t *testing.T) {
 		// Flags another mode would silently ignore.
 		{"workload+all", cliFlags{all: true, workload: "ecdh"}, "-workload applies to -arch runs and -sweep"},
 		{"axis-flag+sweep", cliFlags{sweep: true, axisFlags: []string{"cache"}}, "-cache applies to -arch runs only"},
+		{"curve+sweep", cliFlags{sweep: true, axisFlags: []string{"curve"}}, "-curve applies to -arch runs only; -sweep explores the full axis grid (use -curves/-workload to subset it)"},
+		{"curve+all", cliFlags{all: true, axisFlags: []string{"curve"}}, "-curve applies to -arch runs only"},
+		{"negative-workers", cliFlags{sweep: true, workers: -3}, "-workers -3: want a non-negative pool width"},
 		{"curves-no-sweep", cliFlags{arch: "monte", curves: "P-192"}, "-curves applies to -sweep only"},
 		{"json-no-sweep", cliFlags{arch: "monte", jsonOut: true}, "apply to -sweep only"},
 		{"stats-alone", cliFlags{stats: true}, "-stats applies to -sweep and -arch runs only"},
@@ -55,5 +62,31 @@ func TestConflictError(t *testing.T) {
 				t.Fatalf("conflictError(%+v) = %q, want message naming %q", c.in, got, c.want)
 			}
 		})
+	}
+}
+
+// TestRunOnlyFlags pins which explicitly set flags count as single-run
+// flags: -curve and the option knobs do, -workload (the sweep's
+// scenario list) and unset flags do not.
+func TestRunOnlyFlags(t *testing.T) {
+	cases := []struct {
+		args []string
+		want []string
+	}{
+		{nil, nil},
+		{[]string{"-curve", "B-163"}, []string{"curve"}},
+		{[]string{"-workload", "ecdh"}, nil},
+		{[]string{"-width", "16", "-curve", "P-256", "-workload", "ecdh"}, []string{"curve", "width"}},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("dse", flag.ContinueOnError)
+		repro.RegisterDimensionFlags(fs)
+		repro.RegisterAxisFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := runOnlyFlags(fs); !slices.Equal(got, c.want) {
+			t.Errorf("runOnlyFlags(%q) = %q, want %q", c.args, got, c.want)
+		}
 	}
 }

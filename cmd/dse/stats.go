@@ -12,7 +12,7 @@ import (
 // printStats renders the telemetry collected during a run: the
 // simulator's census-vs-pricing split per workload phase, the sweep's
 // stage timing when one ran, and the registry's remaining counters and
-// gauges (including the process-wide result-cache view). The writer is
+// gauges. The writer is
 // stderr in -json mode so machine-readable stdout stays pure JSON.
 func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 	s := reg.Snapshot()
@@ -96,10 +96,6 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 			fmt.Fprintf(w, "  %-24s %d\n", name, s.Gauges[name])
 		}
 	}
-
-	hits, misses, entries := repro.SweepCacheStats()
-	fmt.Fprintf(w, "process-wide result cache: %d hits / %d misses, %d entries resident\n",
-		hits, misses, entries)
 }
 
 // sortedKeys returns a map's keys in sorted order for stable output.

@@ -66,8 +66,7 @@ type AdaptiveResult struct {
 
 // AdaptiveSweep runs the coarse-to-fine Pareto-guided exploration of a
 // spec. The options are the same as Sweep's (workers, cache, disk
-// store, progress, metrics, journal). Progress reports cumulative
-// evaluations with the total growing as rounds are planned.
+// store, metrics, journal).
 func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -148,16 +147,7 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		if telOn {
 			roundStart = time.Now()
 		}
-		roundOpt := opt
-		if opt.Progress != nil {
-			// Rounds report cumulative progress: the total is every
-			// configuration planned so far, so the counter only grows.
-			offset, total, orig := evaluated, evaluated+len(cands), opt.Progress
-			roundOpt.Progress = func(done, _ int, cached bool) {
-				orig(offset+done, total, cached)
-			}
-		}
-		res, err := sweepConfigs(spec, cands, roundOpt, sweepMeta{
+		res, err := sweepConfigs(spec, cands, opt, sweepMeta{
 			start: roundStart, simHist: &simHist, cachedHist: &cachedHist,
 			storeSynced: storeSynced,
 		})

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +162,42 @@ func TestParseCurve(t *testing.T) {
 	if want := strings.TrimPrefix(specErr.Error(), "dse: "); err.Error() != want {
 		t.Errorf("ParseCurve error %q diverges from sweep validation %q", err.Error(), want)
 	}
+}
+
+// FuzzParseAxis fuzzes the dimension axes' CLI parsers, which take
+// untrusted flag input: no string panics either parser, an accepted
+// string maps onto a registry name, and a rejection lists every valid
+// name so a typo comes with its correction.
+func FuzzParseAxis(f *testing.F) {
+	for _, s := range []string{"monte", "MONTE", "isaext", "icache", "isa-ext+icache",
+		"montee", "", " billie", "P-256", "p-256", "B-163 ", "B-571", "\x00", "arch=monte"} {
+		f.Add(s)
+	}
+	archs, curves := archNames(), AllCurves()
+	f.Fuzz(func(t *testing.T, s string) {
+		if a, err := ParseArch(s); err == nil {
+			if !slices.Contains(archs, a.String()) {
+				t.Errorf("ParseArch(%q) = %v, not a registry architecture", s, a)
+			}
+		} else {
+			for _, name := range archs {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("ParseArch(%q) error %q omits valid name %q", s, err, name)
+				}
+			}
+		}
+		if c, err := ParseCurve(s); err == nil {
+			if !slices.Contains(curves, c) {
+				t.Errorf("ParseCurve(%q) = %q, not a registry curve", s, c)
+			}
+		} else {
+			for _, name := range curves {
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("ParseCurve(%q) error %q omits valid name %q", s, err, name)
+				}
+			}
+		}
+	})
 }
 
 // TestRegisterDimensionFlags asserts the dimension selectors come from

@@ -23,27 +23,19 @@ type SweepOptions struct {
 	// afterwards, so repeating a sweep is near-free even across process
 	// restarts.
 	CacheDir string
-	// Progress, when non-nil, streams per-point completion for long
-	// sweeps: it is invoked once per configuration, in deterministic
-	// specification order regardless of the worker count, with the
-	// number of points completed so far, the total, and whether that
-	// point was served from cache. Calls are serialized and ordered, but
-	// run outside the sweep's internal bookkeeping lock: a slow callback
-	// (a renderer, a journal write) delays later callbacks, not the
-	// worker pool.
-	Progress func(done, total int, cached bool)
 	// Metrics, when non-nil, records sweep telemetry into the registry
-	// (per-point simulate-vs-cached durations, worker-pool occupancy,
-	// expansion and store load/flush timing) and fills SweepResult.Timing.
+	// (per-point simulate-vs-cached durations, pool width, expansion and
+	// store load/flush timing) and fills SweepResult.Timing.
 	// Telemetry is carried out-of-band: results, keys, hashes and store
 	// bytes are identical with and without it.
 	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives one JSONL lifecycle event per
 	// sweep stage: sweep_start, store_load, one point event per
 	// configuration in specification order (with duration, cache-hit
-	// flag, and the error for a failed point), store_flush (including
-	// the partial flush of a failed sweep), and sweep_end. Best-effort:
-	// journal write errors never fail the sweep (check Journal.Err).
+	// flag, and the error for a failed point; written once the worker
+	// pool has joined), store_flush (including the partial flush of a
+	// failed sweep), and sweep_end. Best-effort: journal write errors
+	// never fail the sweep (check Journal.Err).
 	Journal *telemetry.Journal
 	// Adaptive switches Sweep from exhaustive grid evaluation to the
 	// coarse-to-fine Pareto-guided exploration in adaptive.go: a coarse
@@ -151,10 +143,10 @@ type sweepMeta struct {
 }
 
 // sweepConfigs evaluates an already-expanded configuration list on the
-// worker pool: store load, cached-or-simulated pricing with ordered
-// progress/journal delivery, and store flush. Sweep calls it once with
-// the spec's full expansion; AdaptiveSweep calls it once
-// per refinement round with that round's candidates.
+// worker pool: store load, cached-or-simulated pricing, the journal's
+// point events in specification order, and store flush. Sweep calls it
+// once with the spec's full expansion; AdaptiveSweep calls it once per
+// refinement round with that round's candidates.
 func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMeta) (*SweepResult, error) {
 	telOn := opt.Metrics != nil || opt.Journal != nil
 	sweepStart := meta.start
@@ -232,75 +224,10 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 		simHist, cachedHist = &telemetry.Histogram{}, &telemetry.Histogram{}
 	}
 	var durNS []int64
+	var wasHit []bool
 	if telOn {
 		durNS = make([]int64, len(cfgs))
-	}
-	var busy *telemetry.Gauge
-	if opt.Metrics != nil {
-		busy = opt.Metrics.Gauge("sweep.workers.busy")
-	}
-
-	// Progress/journal bookkeeping: completions arrive in worker order,
-	// but delivery fires in specification order — each finished point is
-	// parked until every earlier point has finished too, so the (done,
-	// total, cached) stream and the journal's point events are
-	// deterministic for any worker count. The lock guards only the
-	// bookkeeping; the callbacks themselves run outside it (one
-	// deliverer at a time drains the ready prefix), so a slow Progress
-	// callback or journal write delays later deliveries, never the
-	// worker pool.
-	wantDelivery := opt.Progress != nil || opt.Journal != nil
-	var progressMu sync.Mutex
-	finished := make([]bool, len(cfgs))
-	wasHit := make([]bool, len(cfgs))
-	nextToReport := 0
-	delivering := false
-	deliver := func(j int) {
-		if opt.Journal != nil {
-			f := map[string]any{
-				"i": j + 1, "of": len(cfgs), "key": cfgs[j].Key(),
-				"cached": wasHit[j], "seconds": float64(durNS[j]) / 1e9,
-			}
-			if errs[j] != nil {
-				f["error"] = errs[j].Error()
-			}
-			opt.Journal.Emit("point", f)
-		}
-		if opt.Progress != nil {
-			opt.Progress(j+1, len(cfgs), wasHit[j])
-		}
-	}
-	reportProgress := func(i int, hit bool) {
-		if !wantDelivery {
-			return
-		}
-		progressMu.Lock()
-		finished[i] = true
-		wasHit[i] = hit
-		if delivering {
-			// Another worker is mid-delivery outside the lock; it will
-			// pick this point up on its next drain pass.
-			progressMu.Unlock()
-			return
-		}
-		delivering = true
-		for {
-			start := nextToReport
-			for nextToReport < len(cfgs) && finished[nextToReport] {
-				nextToReport++
-			}
-			ready := nextToReport
-			if ready == start {
-				delivering = false
-				progressMu.Unlock()
-				return
-			}
-			progressMu.Unlock()
-			for j := start; j < ready; j++ {
-				deliver(j)
-			}
-			progressMu.Lock()
-		}
+		wasHit = make([]bool, len(cfgs))
 	}
 
 	jobs := make(chan int)
@@ -311,9 +238,6 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 			defer wg.Done()
 			for i := range jobs {
 				cfg := cfgs[i]
-				if busy != nil {
-					busy.Add(1)
-				}
 				var pointStart time.Time
 				if telOn {
 					pointStart = time.Now()
@@ -322,6 +246,7 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 				if telOn {
 					d := time.Since(pointStart)
 					durNS[i] = int64(d)
+					wasHit[i] = hit
 					if hit {
 						cachedHist.Observe(d)
 					} else {
@@ -335,9 +260,6 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 						opt.Metrics.Histogram(name).Observe(d)
 					}
 				}
-				if busy != nil {
-					busy.Add(-1)
-				}
 				if hit {
 					hits.Add(1)
 				} else {
@@ -345,11 +267,9 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 				}
 				if err != nil {
 					errs[i] = fmt.Errorf("dse: %s: %w", cfg.Key(), err)
-					reportProgress(i, hit)
 					continue
 				}
 				points[i] = newPoint(cfg, res)
-				reportProgress(i, hit)
 			}
 		}()
 	}
@@ -360,10 +280,19 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 	wg.Wait()
 
 	var sweepErr error
-	for _, err := range errs {
-		if err != nil {
+	for i, err := range errs {
+		if err != nil && sweepErr == nil {
 			sweepErr = err
-			break
+		}
+		if opt.Journal != nil {
+			f := map[string]any{
+				"i": i + 1, "of": len(cfgs), "key": cfgs[i].Key(),
+				"cached": wasHit[i], "seconds": float64(durNS[i]) / 1e9,
+			}
+			if err != nil {
+				f["error"] = err.Error()
+			}
+			opt.Journal.Emit("point", f)
 		}
 	}
 

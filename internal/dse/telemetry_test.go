@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -84,9 +81,6 @@ func TestSweepTimingAndMetrics(t *testing.T) {
 	if s.Histograms["store.flush"].Count != 1 || s.Counters["store.flush.entries"] != int64(res.Configs) {
 		t.Errorf("store flush metrics off: %+v / %+v", s.Histograms["store.flush"], s.Counters)
 	}
-	if s.Gauges["sweep.workers.busy"] != 0 {
-		t.Errorf("workers still busy after sweep: %d", s.Gauges["sweep.workers.busy"])
-	}
 
 	// A warm instrumented re-sweep is all cache hits, loaded from disk.
 	warm, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: dir, Metrics: reg})
@@ -122,73 +116,90 @@ func TestSweepTimingAndMetrics(t *testing.T) {
 	}
 }
 
-// TestSweepJournal pins the journal lifecycle: sweep_start, per-point
-// events in specification order, store_flush, sweep_end — cold and warm.
-func TestSweepJournal(t *testing.T) {
-	spec := diskSpec()
-	cfgs := spec.Expand()
-	dir := t.TempDir()
-
-	var cold bytes.Buffer
-	res, err := Sweep(spec, SweepOptions{Workers: 4, Cache: NewCache(), CacheDir: dir,
-		Journal: telemetry.NewJournal(&cold)})
-	if err != nil {
-		t.Fatal(err)
+// checkPointEvents asserts a journal's point events are one per
+// configuration, in specification order, each with its duration and
+// the wanted cache-hit flag.
+func checkPointEvents(t *testing.T, events []map[string]any, cfgs []Config, wantCached bool) {
+	t.Helper()
+	var points []map[string]any
+	for _, e := range events {
+		if e["event"] == "point" {
+			points = append(points, e)
+		}
 	}
-	events := journalLines(t, &cold)
-	want := []string{"sweep_start"}
-	for range cfgs {
-		want = append(want, "point")
+	if len(points) != len(cfgs) {
+		t.Fatalf("%d point events, want %d", len(points), len(cfgs))
 	}
-	want = append(want, "store_flush", "sweep_end")
-	if got := eventNames(events); strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("cold event sequence = %v, want %v", got, want)
-	}
-	for i, e := range events[1 : 1+len(cfgs)] {
+	for i, e := range points {
 		if int(e["i"].(float64)) != i+1 || int(e["of"].(float64)) != len(cfgs) {
 			t.Errorf("point %d out of order: %v", i, e)
 		}
 		if e["key"].(string) != cfgs[i].Key() {
 			t.Errorf("point %d key = %v, want %s", i, e["key"], cfgs[i].Key())
 		}
-		if e["cached"].(bool) {
-			t.Errorf("cold point %d reported cached", i)
+		if e["cached"].(bool) != wantCached {
+			t.Errorf("point %d cached = %v, want %v", i, e["cached"], wantCached)
 		}
-		if e["seconds"].(float64) <= 0 {
+		// A cache hit may be faster than the clock's resolution; a
+		// simulated point never is.
+		if sec := e["seconds"].(float64); sec < 0 || (!wantCached && sec == 0) {
 			t.Errorf("point %d has no duration: %v", i, e)
 		}
 	}
-	flush := events[1+len(cfgs)]
-	if int(flush["entries"].(float64)) != res.DiskSaved || flush["partial"] != nil {
-		t.Errorf("flush event off: %v (saved %d)", flush, res.DiskSaved)
-	}
-	end := events[len(events)-1]
-	if int(end["cacheMisses"].(float64)) != len(cfgs) || end["error"] != nil {
-		t.Errorf("sweep_end off: %v", end)
-	}
+}
 
-	// Warm re-run from disk: a store_load event, every point cached.
-	var warm bytes.Buffer
-	if _, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: dir,
-		Journal: telemetry.NewJournal(&warm)}); err != nil {
-		t.Fatal(err)
-	}
-	warmEvents := journalLines(t, &warm)
-	names := eventNames(warmEvents)
-	if names[1] != "store_load" {
-		t.Fatalf("warm sequence missing store_load: %v", names)
-	}
-	cachedPoints := 0
-	for _, e := range warmEvents {
-		if e["event"] == "point" && e["cached"].(bool) {
-			cachedPoints++
-		}
-		if e["event"] == "store_flush" && e["unchanged"] != true {
-			t.Errorf("warm flush should be unchanged: %v", e)
-		}
-	}
-	if cachedPoints != len(cfgs) {
-		t.Errorf("warm sweep journaled %d cached points, want %d", cachedPoints, len(cfgs))
+// TestSweepJournal pins the journal lifecycle: sweep_start, per-point
+// events in specification order, store_flush, sweep_end — cold and
+// warm, for one worker and for several (points finish out of order on
+// a wider pool; the journal must not).
+func TestSweepJournal(t *testing.T) {
+	spec := diskSpec()
+	cfgs := spec.Expand()
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			var cold bytes.Buffer
+			res, err := Sweep(spec, SweepOptions{Workers: workers, Cache: NewCache(), CacheDir: dir,
+				Journal: telemetry.NewJournal(&cold)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := journalLines(t, &cold)
+			want := []string{"sweep_start"}
+			for range cfgs {
+				want = append(want, "point")
+			}
+			want = append(want, "store_flush", "sweep_end")
+			if got := eventNames(events); strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("cold event sequence = %v, want %v", got, want)
+			}
+			checkPointEvents(t, events, cfgs, false)
+			flush := events[1+len(cfgs)]
+			if int(flush["entries"].(float64)) != res.DiskSaved || flush["partial"] != nil {
+				t.Errorf("flush event off: %v (saved %d)", flush, res.DiskSaved)
+			}
+			end := events[len(events)-1]
+			if int(end["cacheMisses"].(float64)) != len(cfgs) || end["error"] != nil {
+				t.Errorf("sweep_end off: %v", end)
+			}
+
+			// Warm re-run from disk: a store_load event, every point
+			// cached, still in specification order.
+			var warm bytes.Buffer
+			if _, err := Sweep(spec, SweepOptions{Workers: workers, Cache: NewCache(), CacheDir: dir,
+				Journal: telemetry.NewJournal(&warm)}); err != nil {
+				t.Fatal(err)
+			}
+			warmEvents := journalLines(t, &warm)
+			want = append([]string{"sweep_start", "store_load"}, want[1:]...)
+			if got := eventNames(warmEvents); strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("warm event sequence = %v, want %v", got, want)
+			}
+			checkPointEvents(t, warmEvents, cfgs, true)
+			if flush := warmEvents[2+len(cfgs)]; flush["unchanged"] != true {
+				t.Errorf("warm flush should be unchanged: %v", flush)
+			}
+		})
 	}
 }
 
@@ -209,23 +220,18 @@ func TestSweepJournalErrorPath(t *testing.T) {
 
 	dir := t.TempDir()
 	var buf bytes.Buffer
-	var progressCalls int
 	_, err := Sweep(spec, SweepOptions{Workers: 1, Cache: cache, CacheDir: dir,
-		Journal:  telemetry.NewJournal(&buf),
-		Progress: func(done, total int, cached bool) { progressCalls++ }})
+		Journal: telemetry.NewJournal(&buf)})
 	if !errors.Is(err, boom) {
 		t.Fatalf("sweep error = %v, want the injected failure", err)
 	}
-	// The failing point still produced a completion callback.
-	if progressCalls != len(cfgs) {
-		t.Errorf("progress fired %d times, want %d (failure included)", progressCalls, len(cfgs))
-	}
 
 	events := journalLines(t, &buf)
-	var pointErrs, flushes, ends int
+	var points, pointErrs, flushes, ends int
 	for _, e := range events {
 		switch e["event"] {
 		case "point":
+			points++
 			if e["error"] != nil {
 				pointErrs++
 				if !strings.Contains(e["error"].(string), "injected") {
@@ -247,115 +253,36 @@ func TestSweepJournalErrorPath(t *testing.T) {
 			}
 		}
 	}
+	// The failing point is journaled like every other: one point event
+	// per configuration.
+	if points != len(cfgs) {
+		t.Errorf("%d point events, want %d (failure included)", points, len(cfgs))
+	}
 	if pointErrs != 1 || flushes != 1 || ends != 1 {
 		t.Errorf("error-path events: %d point errors, %d flushes, %d ends (want 1 each)",
 			pointErrs, flushes, ends)
 	}
 }
 
-// TestSweepProgressSlowCallback pins the satellite fix: Progress runs
-// outside the internal bookkeeping lock, and a deliberately slow
-// callback still sees every point in specification order.
-func TestSweepProgressSlowCallback(t *testing.T) {
-	spec := diskSpec()
-	total := len(spec.Expand())
-	var mu sync.Mutex
-	var dones []int
-	if _, err := Sweep(spec, SweepOptions{Workers: 4, Cache: NewCache(),
-		Progress: func(done, totalArg int, cached bool) {
-			time.Sleep(time.Millisecond)
-			mu.Lock()
-			dones = append(dones, done)
-			mu.Unlock()
-		}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(dones) != total {
-		t.Fatalf("%d progress calls, want %d", len(dones), total)
-	}
-	for i, d := range dones {
-		if d != i+1 {
-			t.Fatalf("slow callback broke ordering at %d: %v", i, dones)
-		}
-	}
+// slowWriter delays every write, standing in for a slow journal sink.
+type slowWriter struct{ buf bytes.Buffer }
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return w.buf.Write(p)
 }
 
-// TestMetricsHTTPMidSweep drives the live endpoint while a sweep is
-// actually running: /metrics and /progress answer from inside a
-// Progress callback at the halfway mark, and the pprof index is wired.
-func TestMetricsHTTPMidSweep(t *testing.T) {
-	reg := telemetry.New()
-	prog := &telemetry.ProgressTracker{}
-	srv := httptest.NewServer(telemetry.Handler(reg, prog))
-	defer srv.Close()
-
-	get := func(path string, into any) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-				t.Fatalf("GET %s: decode: %v", path, err)
-			}
-		}
-	}
-
+// TestSweepProgressSlowCallback pins that a slow consumer of the
+// per-point stream cannot reorder it: with a wide pool and a journal
+// sink that stalls on every line, each point is still journaled once,
+// in specification order.
+func TestSweepProgressSlowCallback(t *testing.T) {
 	spec := diskSpec()
-	total := len(spec.Expand())
-	prog.Start(total)
-	var polled bool
-	res, err := Sweep(spec, SweepOptions{Workers: 2, Cache: NewCache(), Metrics: reg,
-		Progress: func(done, totalArg int, cached bool) {
-			prog.Observe(done, totalArg, cached)
-			if done != total/2 {
-				return
-			}
-			polled = true
-			var ps telemetry.ProgressSnapshot
-			get("/progress", &ps)
-			if ps.Done != int64(done) || ps.Total != int64(total) || !ps.Running {
-				t.Errorf("mid-sweep /progress = %+v at done=%d/%d", ps, done, total)
-			}
-			var snap telemetry.Snapshot
-			get("/metrics", &snap)
-			if snap.Histograms["sweep.point.simulate"].Count < int64(done) {
-				t.Errorf("mid-sweep /metrics simulate count = %d, want >= %d",
-					snap.Histograms["sweep.point.simulate"].Count, done)
-			}
-		}})
-	if err != nil {
+	cfgs := spec.Expand()
+	var w slowWriter
+	if _, err := Sweep(spec, SweepOptions{Workers: 4, Cache: NewCache(),
+		Journal: telemetry.NewJournal(&w)}); err != nil {
 		t.Fatal(err)
 	}
-	if !polled {
-		t.Fatal("halfway progress callback never fired")
-	}
-
-	// After the sweep: progress complete, metrics final.
-	var ps telemetry.ProgressSnapshot
-	get("/progress", &ps)
-	if ps.Done != int64(total) || ps.Running || ps.Simulated != int64(total) {
-		t.Errorf("final /progress = %+v, want done=%d simulated=%d running=false", ps, total, total)
-	}
-	var snap telemetry.Snapshot
-	get("/metrics", &snap)
-	if snap.Counters["sweep.points.simulated"] != int64(res.Configs) {
-		t.Errorf("final /metrics counters = %+v", snap.Counters)
-	}
-
-	// pprof rides along on the same mux.
-	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("pprof cmdline: %d", resp.StatusCode)
-	}
+	checkPointEvents(t, journalLines(t, &w.buf), cfgs, false)
 }

@@ -1,9 +1,12 @@
 package dse
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestWorkloadAxisHashStability is the compatibility contract of the
@@ -133,58 +136,31 @@ func TestWorkloadSweepPoints(t *testing.T) {
 	}
 }
 
-// TestSweepProgress pins the progress-streaming contract: one callback
-// per configuration, in deterministic specification order, with done
-// counting 1..total for any worker count.
+// TestSweepProgress pins the progress-streaming contract, now carried
+// by the journal's point events: one event per configuration, in
+// deterministic specification order, with i counting 1..total for any
+// worker count, none cached cold and all cached on a warm re-sweep
+// from the in-memory cache.
 func TestSweepProgress(t *testing.T) {
 	spec := smallSpec()
-	total := len(spec.Expand())
+	cfgs := spec.Expand()
 	for _, workers := range []int{1, 4} {
-		var dones []int
-		var cachedCount int
-		cache := NewCache()
-		_, err := Sweep(spec, SweepOptions{
-			Workers: workers,
-			Cache:   cache,
-			Progress: func(done, totalArg int, cached bool) {
-				if totalArg != total {
-					t.Errorf("workers=%d: total = %d, want %d", workers, totalArg, total)
-				}
-				if cached {
-					cachedCount++
-				}
-				dones = append(dones, done)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dones) != total {
-			t.Fatalf("workers=%d: %d progress calls, want %d", workers, len(dones), total)
-		}
-		for i, d := range dones {
-			if d != i+1 {
-				t.Fatalf("workers=%d: progress out of order at %d: %v", workers, i, dones)
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cache := NewCache()
+			var cold bytes.Buffer
+			if _, err := Sweep(spec, SweepOptions{Workers: workers, Cache: cache,
+				Journal: telemetry.NewJournal(&cold)}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if cachedCount != 0 {
-			t.Errorf("workers=%d: cold sweep reported %d cached points", workers, cachedCount)
-		}
+			checkPointEvents(t, journalLines(t, &cold), cfgs, false)
 
-		// A warm re-sweep streams every point as cached.
-		cachedCount = 0
-		dones = nil
-		if _, err := Sweep(spec, SweepOptions{Workers: workers, Cache: cache,
-			Progress: func(done, totalArg int, cached bool) {
-				if cached {
-					cachedCount++
-				}
-				dones = append(dones, done)
-			}}); err != nil {
-			t.Fatal(err)
-		}
-		if cachedCount != total || len(dones) != total {
-			t.Errorf("workers=%d: warm sweep cached %d of %d progress calls", workers, cachedCount, len(dones))
-		}
+			// A warm re-sweep streams every point as cached.
+			var warm bytes.Buffer
+			if _, err := Sweep(spec, SweepOptions{Workers: workers, Cache: cache,
+				Journal: telemetry.NewJournal(&warm)}); err != nil {
+				t.Fatal(err)
+			}
+			checkPointEvents(t, journalLines(t, &warm), cfgs, true)
+		})
 	}
 }

@@ -36,9 +36,8 @@
 //     frontier := repro.Pareto(res.Points)
 //
 //     Sweep results are deterministic: the same spec produces points in
-//     the same order regardless of worker count, repeated or overlapping
-//     sweeps are served from the result cache, and SweepOptions.Progress
-//     streams per-point completion in specification order.
+//     the same order regardless of worker count, and repeated or
+//     overlapping sweeps are served from the result cache.
 //
 //   - Experiments: Experiment and Experiments regenerate the paper's
 //     tables and figures as formatted text, including the live-sweep
@@ -49,7 +48,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"slices"
 
 	"repro/internal/dse"
@@ -337,9 +335,6 @@ type (
 	// RunJournal appends one JSON object per lifecycle event (sweep
 	// start/point/flush/end) to a writer — an append-only run log.
 	RunJournal = telemetry.Journal
-	// SweepProgressTracker bridges the deterministic SweepOptions.Progress
-	// stream to concurrent readers (e.g. the /progress HTTP endpoint).
-	SweepProgressTracker = telemetry.ProgressTracker
 	// SweepTiming is the out-of-band wall-clock breakdown of one
 	// instrumented sweep (SweepResult.Timing).
 	SweepTiming = dse.SweepTiming
@@ -353,39 +348,12 @@ func NewMetrics() *Metrics { return telemetry.New() }
 // never fails the instrumented work.
 func NewRunJournal(w io.Writer) *RunJournal { return telemetry.NewJournal(w) }
 
-// TelemetryHandler serves a registry and progress tracker over HTTP:
-// /metrics (registry snapshot as JSON), /progress (live sweep progress),
-// and the standard pprof handlers under /debug/pprof/. Either argument
-// may be nil.
-func TelemetryHandler(reg *Metrics, prog *SweepProgressTracker) http.Handler {
-	return telemetry.Handler(reg, prog)
-}
-
 // EnableSimMetrics points the simulator's per-phase instrumentation
 // (profiling-vs-pricing split, assembly cost) at reg; nil disables it.
 // The hook is process-wide because simulation runs under the sweep's
 // memoizing cache — results must not depend on which caller triggered
 // them, so the simulator cannot take per-call telemetry options.
 func EnableSimMetrics(reg *Metrics) { sim.SetMetrics(reg) }
-
-// SweepCacheStats returns the process-wide result cache's cumulative
-// hit/miss counts and current size — every sweep that used the shared
-// cache since process start. Per-sweep accounting lives on SweepResult.
-func SweepCacheStats() (hits, misses uint64, entries int) {
-	c := dse.SharedCache()
-	hits, misses = c.Stats()
-	return hits, misses, c.Len()
-}
-
-// RegisterCacheMetrics surfaces the process-wide result cache in a
-// registry as live gauges cache.hits / cache.misses / cache.entries,
-// sampled at snapshot time.
-func RegisterCacheMetrics(reg *Metrics) {
-	c := dse.SharedCache()
-	reg.SetGaugeFunc("cache.hits", func() int64 { h, _ := c.Stats(); return int64(h) })
-	reg.SetGaugeFunc("cache.misses", func() int64 { _, m := c.Stats(); return int64(m) })
-	reg.SetGaugeFunc("cache.entries", func() int64 { return int64(c.Len()) })
-}
 
 // Experiment regenerates one of the paper's tables or figures by
 // identifier (see ExperimentNames).
