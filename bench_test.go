@@ -314,7 +314,7 @@ func BenchmarkSweepCold(b *testing.B) {
 // flush-skip check. The census memo made re-pricing cheaper than
 // re-decoding at this store size; the store still wins when pricing is
 // census-memo-cold (process restart: one functional crypto profile per
-// (curve, alg, workload) vs a ~23 µs decode per entry) and its real job
+// curve vs a ~23 µs decode per entry) and its real job
 // is durability across processes — not beating a warm in-process memo.
 func BenchmarkSweepWarmDisk(b *testing.B) {
 	spec := benchSweepSpec()
@@ -368,9 +368,9 @@ func BenchmarkStoreLoad(b *testing.B) {
 // --- Census memoization: the profile-once/price-everywhere split ---
 
 // BenchmarkColdFullSweep measures the full design-space grid from
-// scratch with the census memo on: every distinct (curve, alg, workload)
-// pays one functional profile run, every other configuration prices a
-// memoized census. This is the headline cold-exploration cost.
+// scratch with the census memo on: every curve pays one functional
+// profile run (all workload phases at once), every other configuration
+// prices a memoized census. This is the headline cold-exploration cost.
 func BenchmarkColdFullSweep(b *testing.B) {
 	spec := dse.FullSweep()
 	for i := 0; i < b.N; i++ {
@@ -414,8 +414,9 @@ func BenchmarkAdaptiveFrontier(b *testing.B) {
 
 // BenchmarkColdFullSweepNoMemo is the same grid with the memo disabled —
 // the pre-memoization behavior, where every configuration re-executes
-// its functional crypto profile. The ratio against BenchmarkColdFullSweep
-// is the memo's speedup.
+// its curve's functional crypto profile (every phase, whatever the
+// workload). The ratio against BenchmarkColdFullSweep is the memo's
+// speedup.
 func BenchmarkColdFullSweepNoMemo(b *testing.B) {
 	spec := dse.FullSweep()
 	sim.DisableCensusMemo(true)
@@ -434,7 +435,7 @@ func BenchmarkColdFullSweepNoMemo(b *testing.B) {
 
 // BenchmarkCensusMemoHit isolates the price-only path: one simulation
 // whose census is already memoized — the marginal cost of every
-// configuration after the first in its census class.
+// configuration after the first on its curve.
 func BenchmarkCensusMemoHit(b *testing.B) {
 	opt := sim.DefaultOptions()
 	sim.MustRun(sim.WithMonte, "P-256", opt) // warm the memo

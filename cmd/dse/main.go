@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro"
@@ -228,6 +229,8 @@ func conflictError(c cliFlags) string {
 		return "-curves applies to -sweep only"
 	case c.adaptive && !c.sweep:
 		return "-adaptive applies to -sweep only: adaptive exploration refines the sweep grid (run dse -sweep -adaptive)"
+	case c.adaptiveBudget < 0:
+		return fmt.Sprintf("-adaptive-budget %d: want a non-negative configuration count (0 = explore until the frontiers stop moving)", c.adaptiveBudget)
 	case c.adaptiveBudget != 0 && !c.adaptive:
 		return "-adaptive-budget applies to -sweep -adaptive only"
 	}
@@ -262,30 +265,43 @@ func openJournal(path string) (*repro.RunJournal, func(), error) {
 	}, nil
 }
 
+// splitNames splits the comma-separated axis subset given to -flagName,
+// rejecting an empty or repeated name (a repeat would sweep its slice of
+// the grid twice) with an error that lists the valid names.
+func splitNames(kind, flagName, list string, valid []string) ([]string, error) {
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		n = strings.TrimSpace(n)
+		switch {
+		case n == "":
+			return nil, fmt.Errorf("empty %s name in -%s %q (want a comma-separated subset of %v)",
+				kind, flagName, list, valid)
+		case slices.Contains(names, n):
+			return nil, fmt.Errorf("repeated %s name %q in -%s %q (want a comma-separated subset of %v)",
+				kind, n, flagName, list, valid)
+		}
+		names = append(names, n)
+	}
+	return names, nil
+}
+
 // runSweep explores the full design space and prints either the whole point cloud or just its Pareto frontier, as
 // text or JSON.
 func runSweep(cfg sweepConfig) error {
 	spec := repro.FullSweepSpec()
 	if cfg.workloads != "" {
-		for _, wl := range strings.Split(cfg.workloads, ",") {
-			wl = strings.TrimSpace(wl)
-			if wl == "" {
-				return fmt.Errorf("empty workload name in -workload %q (want a comma-separated subset of %v)",
-					cfg.workloads, repro.WorkloadNames())
-			}
-			spec.Workloads = append(spec.Workloads, wl)
+		names, err := splitNames("workload", "workload", cfg.workloads, repro.WorkloadNames())
+		if err != nil {
+			return err
 		}
+		spec.Workloads = names
 	}
 	if cfg.curves != "" {
-		spec.Curves = nil
-		for _, c := range strings.Split(cfg.curves, ",") {
-			c = strings.TrimSpace(c)
-			if c == "" {
-				return fmt.Errorf("empty curve name in -curves %q (want a comma-separated subset of %v)",
-					cfg.curves, repro.CurveNames())
-			}
-			spec.Curves = append(spec.Curves, c)
+		names, err := splitNames("curve", "curves", cfg.curves, repro.CurveNames())
+		if err != nil {
+			return err
 		}
+		spec.Curves = names
 	}
 	opt := repro.SweepOptions{Workers: cfg.workers, CacheDir: cfg.cacheDir}
 

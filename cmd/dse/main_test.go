@@ -29,6 +29,7 @@ func TestConflictError(t *testing.T) {
 		{"curve+sweep", cliFlags{sweep: true, axisFlags: []string{"curve"}}, "-curve applies to -arch runs only; -sweep explores the full axis grid (use -curves/-workload to subset it)"},
 		{"curve+all", cliFlags{all: true, axisFlags: []string{"curve"}}, "-curve applies to -arch runs only"},
 		{"negative-workers", cliFlags{sweep: true, workers: -3}, "-workers -3: want a non-negative pool width"},
+		{"negative-budget", cliFlags{sweep: true, adaptive: true, adaptiveBudget: -5}, "-adaptive-budget -5: want a non-negative configuration count"},
 		{"curves-no-sweep", cliFlags{arch: "monte", curves: "P-192"}, "-curves applies to -sweep only"},
 		{"json-no-sweep", cliFlags{arch: "monte", jsonOut: true}, "apply to -sweep only"},
 		{"stats-alone", cliFlags{stats: true}, "-stats applies to -sweep and -arch runs only"},
@@ -88,5 +89,44 @@ func TestRunOnlyFlags(t *testing.T) {
 		if got := runOnlyFlags(fs); !slices.Equal(got, c.want) {
 			t.Errorf("runOnlyFlags(%q) = %q, want %q", c.args, got, c.want)
 		}
+	}
+}
+
+// TestSweepAxisSubsets pins the -curves/-workload list parsing: names
+// are trimmed and kept in order, while an empty or repeated name is
+// rejected before any sweep runs (a repeat would sweep its slice of
+// the grid twice), with an error listing every valid name.
+func TestSweepAxisSubsets(t *testing.T) {
+	got, err := splitNames("curve", "curves", "P-192, B-163", repro.CurveNames())
+	if err != nil || !slices.Equal(got, []string{"P-192", "B-163"}) {
+		t.Fatalf("splitNames = %q, %v; want [P-192 B-163]", got, err)
+	}
+	cases := []struct {
+		name string
+		cfg  sweepConfig
+		want string
+	}{
+		{"repeated-curve", sweepConfig{curves: "P-192,P-192"}, `repeated curve name "P-192" in -curves "P-192,P-192"`},
+		{"repeated-curve-spaced", sweepConfig{curves: "B-163, P-256 ,B-163"}, `repeated curve name "B-163"`},
+		{"empty-curve", sweepConfig{curves: "P-192,"}, `empty curve name in -curves "P-192,"`},
+		{"repeated-workload", sweepConfig{workloads: "keygen,keygen"}, `repeated workload name "keygen" in -workload "keygen,keygen"`},
+		{"empty-workload", sweepConfig{workloads: ",ecdh"}, `empty workload name in -workload ",ecdh"`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := runSweep(c.cfg)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("runSweep(%+v) = %v, want an error naming %q", c.cfg, err, c.want)
+			}
+			valid := repro.CurveNames()
+			if c.cfg.workloads != "" {
+				valid = repro.WorkloadNames()
+			}
+			for _, v := range valid {
+				if !strings.Contains(err.Error(), v) {
+					t.Errorf("error %q does not list valid name %q", err, v)
+				}
+			}
+		})
 	}
 }

@@ -109,16 +109,16 @@ func TestSweepStoreBytesUnchangedByCensusMemo(t *testing.T) {
 }
 
 // TestSweepHammersCensusMemo runs a parallel sweep against a cold census
-// memo (under -race in CI): many workers racing on a handful of census
-// keys must profile each key exactly once and price everything else from
-// the memo.
+// memo (under -race in CI): many workers racing across both curve
+// families, several archs per family and two workloads must profile each
+// curve exactly once and price everything else from the memo.
 func TestSweepHammersCensusMemo(t *testing.T) {
 	sim.ResetCensusMemo()
 	defer sim.ResetCensusMemo()
 
 	spec := SweepSpec{
-		Archs:        []sim.Arch{sim.WithMonte},
-		Curves:       []string{"P-192"},
+		Archs:        []sim.Arch{sim.Baseline, sim.ISAExt, sim.WithMonte, sim.WithBillie},
+		Curves:       []string{"P-192", "B-163"},
 		MonteWidths:  []int{8, 16, 32, 64},
 		DoubleBuffer: []bool{true, false},
 		Workloads:    []string{"sign-verify", "ecdh"},
@@ -127,11 +127,11 @@ func TestSweepHammersCensusMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One census per (curve, alg, workload): one curve, one alg family,
-	// two workloads -> two profile runs; every other config is a memo hit.
+	// One census per curve: neither the arch (and with it the field
+	// multiplication algorithm) nor the workload adds a profile run.
 	hits, misses := sim.CensusMemoStats()
-	if misses != 2 {
-		t.Errorf("census misses = %d, want 2 (one per workload)", misses)
+	if want := uint64(len(spec.Curves)); misses != want {
+		t.Errorf("census misses = %d, want %d (one per curve)", misses, want)
 	}
 	if want := uint64(len(res.Points)) - misses; hits != want {
 		t.Errorf("census hits = %d, want %d (every other config memo-served)", hits, want)

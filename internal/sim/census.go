@@ -5,35 +5,26 @@ import (
 	"sync/atomic"
 )
 
-// The census memo: one functional profile run serves every pricing.
+// The census memo: one functional profile run per curve serves every
+// pricing.
 //
-// A phase's operation census depends only on (curve, multiplication
-// algorithm, workload) — the multiplication algorithm is itself a pure
-// function of the architecture family (OSNIST/PSNIST/CIOS for prime
-// curves, Comb/CLMul for binary) — while every other design-space knob
-// (cache geometry, prefetcher, accelerator widths and digits, gating,
-// line size) only affects how that census is *priced*. A full sweep
-// therefore re-executes the same profiled ECDSA/ECDH run hundreds of
-// times for configs whose censuses are bit-identical. The memo below
-// collapses that: the first Run for a (curve, alg, workload) key pays
-// the functional crypto execution, every later Run prices the memoized
-// census. The memo holds at most curves x algs x workloads entries
-// (a few dozen), regardless of grid size.
+// A phase's operation census depends only on the curve. The field
+// multiplication algorithm (OSNIST/PSNIST/CIOS for prime curves,
+// Comb/CLMul for binary) decides how a product is computed, not how many
+// are called, and a workload is a selection of phases from the same
+// deterministic keygen/ECDH/sign/verify run. Every design-space knob
+// (architecture, cache geometry, prefetcher, accelerator widths and
+// digits, gating, line size, workload) only affects how that census is
+// *priced*. The first Run on a curve pays the functional crypto
+// execution; every later Run on it prices the memoized census. The memo
+// holds one entry per curve, regardless of grid size.
 //
-// Bit-exactness: the profilers are deterministic (fixed seeds,
+// Bit-exactness: the profile run is deterministic (fixed seeds,
 // RFC-6979-style signing), so a memoized census is byte-for-byte the
 // census a fresh profile run would produce — results, hashes, goldens
 // and store bytes are identical with the memo on or off (pinned by the
-// memo-vs-fresh equivalence tests).
-
-// censusKey identifies one functional profile: the curve, the
-// family-qualified multiplication algorithm, and the workload. Every
-// input that can change a census is in the key; nothing else is.
-type censusKey struct {
-	curve    string
-	alg      string // "prime/<mp.MulAlg>" or "binary/<gf2.MulAlg>"
-	workload string
-}
+// memo-vs-fresh equivalence tests). runs.golden profiles every
+// multiplication algorithm and pins that its censuses agree.
 
 // censusProfile is one memoized profile run: the per-phase censuses plus
 // the curve parameters the pricing path needs downstream, so serving a
@@ -51,21 +42,22 @@ type censusEntry struct {
 	err  error
 }
 
-// censusCache is the race-safe memo. Concurrent misses on the same key
-// are deduplicated singleflight-style (like dse.Cache.inflight): the
-// first caller profiles, everyone else blocks and shares the entry.
+// censusCache is the race-safe memo, keyed by curve name. Concurrent
+// misses on the same curve are deduplicated singleflight-style (like
+// dse.Cache.inflight): the first caller profiles, everyone else blocks
+// and shares the entry.
 type censusCache struct {
 	mu       sync.Mutex
-	m        map[censusKey]censusEntry
-	inflight map[censusKey]*sync.WaitGroup
+	m        map[string]censusEntry
+	inflight map[string]*sync.WaitGroup
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
 var censuses = &censusCache{
-	m:        make(map[censusKey]censusEntry),
-	inflight: make(map[censusKey]*sync.WaitGroup),
+	m:        make(map[string]censusEntry),
+	inflight: make(map[string]*sync.WaitGroup),
 }
 
 // censusMemoOff gates the memo; the equivalence tests flip it to compare
@@ -87,8 +79,8 @@ func CensusMemoEnabled() bool { return !censusMemoOff.Load() }
 func ResetCensusMemo() {
 	censuses.mu.Lock()
 	defer censuses.mu.Unlock()
-	censuses.m = make(map[censusKey]censusEntry)
-	censuses.inflight = make(map[censusKey]*sync.WaitGroup)
+	censuses.m = make(map[string]censusEntry)
+	censuses.inflight = make(map[string]*sync.WaitGroup)
 	censuses.hits.Store(0)
 	censuses.misses.Store(0)
 }
@@ -108,19 +100,19 @@ func CensusMemoLen() int {
 	return len(censuses.m)
 }
 
-// get returns the memoized profile for key, running the profile function
-// at most once per key. A profile error is remembered and re-served;
+// get returns the memoized profile for curve, running profile(curve) at
+// most once per curve. A profile error is remembered and re-served;
 // matching dse.Cache's error-entry semantics, serving a remembered error
 // does not count as a hit (the original failed run still counted as the
 // one miss).
-func (c *censusCache) get(key censusKey, profile func() (censusProfile, error)) (censusProfile, error) {
+func (c *censusCache) get(curve string, profile func(curve string) (censusProfile, error)) (censusProfile, error) {
 	if censusMemoOff.Load() {
-		return profile()
+		return profile(curve)
 	}
 	reg := metrics()
 	for {
 		c.mu.Lock()
-		if e, ok := c.m[key]; ok {
+		if e, ok := c.m[curve]; ok {
 			c.mu.Unlock()
 			if e.err == nil {
 				c.hits.Add(1)
@@ -130,24 +122,24 @@ func (c *censusCache) get(key censusKey, profile func() (censusProfile, error)) 
 			}
 			return e.prof, e.err
 		}
-		if wg, ok := c.inflight[key]; ok {
+		if wg, ok := c.inflight[curve]; ok {
 			c.mu.Unlock()
 			wg.Wait()
 			continue // the profiler has published; loop hits the memo
 		}
 		wg := new(sync.WaitGroup)
 		wg.Add(1)
-		c.inflight[key] = wg
+		c.inflight[curve] = wg
 		c.mu.Unlock()
 
 		c.misses.Add(1)
 		if reg != nil {
 			reg.Counter("sim.census.misses").Inc()
 		}
-		prof, err := profile()
+		prof, err := profile(curve)
 		c.mu.Lock()
-		c.m[key] = censusEntry{prof: prof, err: err}
-		delete(c.inflight, key)
+		c.m[curve] = censusEntry{prof: prof, err: err}
+		delete(c.inflight, curve)
 		c.mu.Unlock()
 		wg.Done()
 		return prof, err

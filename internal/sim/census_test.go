@@ -86,11 +86,11 @@ func TestCensusMemoErrorSemantics(t *testing.T) {
 
 	boom := errors.New("profiler exploded")
 	calls := 0
-	failing := func() (censusProfile, error) {
+	failing := func(string) (censusProfile, error) {
 		calls++
 		return censusProfile{}, boom
 	}
-	key := censusKey{curve: "P-000", alg: "prime/test", workload: "test"}
+	key := "P-000"
 
 	if _, err := censuses.get(key, failing); err != boom {
 		t.Fatalf("first get: err = %v, want %v", err, boom)
@@ -109,8 +109,8 @@ func TestCensusMemoErrorSemantics(t *testing.T) {
 	}
 
 	// A successful entry, by contrast, counts one miss then hits.
-	good := censusKey{curve: "P-000", alg: "prime/test", workload: "good"}
-	ok := func() (censusProfile, error) { return censusProfile{k: 6}, nil }
+	good := "P-001"
+	ok := func(string) (censusProfile, error) { return censusProfile{k: 6}, nil }
 	if _, err := censuses.get(good, ok); err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestCensusMemoDisableBypasses(t *testing.T) {
 		t.Fatal("CensusMemoEnabled() = true after DisableCensusMemo(true)")
 	}
 	calls := 0
-	key := censusKey{curve: "P-000", alg: "prime/test", workload: "off"}
-	profile := func() (censusProfile, error) { calls++; return censusProfile{}, nil }
+	key := "P-000"
+	profile := func(string) (censusProfile, error) { calls++; return censusProfile{}, nil }
 	for i := 0; i < 3; i++ {
 		if _, err := censuses.get(key, profile); err != nil {
 			t.Fatal(err)
@@ -156,9 +156,10 @@ func TestCensusMemoDisableBypasses(t *testing.T) {
 }
 
 // TestCensusMemoConcurrent hammers one cold memo from many goroutines
-// (run under -race in CI): concurrent misses on the same key must
-// deduplicate singleflight-style — exactly one profile execution per
-// distinct key — and every caller must see the identical result.
+// (run under -race in CI): concurrent misses on the same curve must
+// deduplicate singleflight-style — exactly one profile execution for the
+// curve, whatever the arch — and every caller must see the identical
+// result.
 func TestCensusMemoConcurrent(t *testing.T) {
 	ResetCensusMemo()
 	defer ResetCensusMemo()
@@ -201,13 +202,13 @@ func TestCensusMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Three arch families -> three distinct census keys; everything else
-	// (all the width variants, all the repeat loops) must have been hits.
-	if _, m := CensusMemoStats(); m != uint64(len(archs)) {
-		t.Errorf("memo misses = %d, want %d (one profile per arch family)", m, len(archs))
+	// One curve -> one census; everything else (all three archs, the
+	// width variants, the repeat loops) must have been hits.
+	if _, m := CensusMemoStats(); m != 1 {
+		t.Errorf("memo misses = %d, want 1 (one profile per curve)", m)
 	}
-	if n := CensusMemoLen(); n != len(archs) {
-		t.Errorf("memo holds %d entries, want %d", n, len(archs))
+	if n := CensusMemoLen(); n != 1 {
+		t.Errorf("memo holds %d entries, want 1", n)
 	}
 }
 

@@ -47,11 +47,12 @@ func TestRunRecordsCensusVsPricingSplit(t *testing.T) {
 		t.Errorf("census memo counters = %d hits / %d misses, want 1 / 2",
 			s.Counters["sim.census.hits"], s.Counters["sim.census.misses"])
 	}
-	// Handshake profiles all four phases once (the memo-hit run prices
-	// them again without re-profiling); sign-verify adds to the sign and
-	// verify pricing counts.
+	// Each census miss profiles all four phases once, whatever the
+	// workload (the memo-hit run prices its phases again without
+	// re-profiling); sign-verify adds to the sign and verify pricing
+	// counts only.
 	wantCounts := map[string]int64{
-		"sim.profile.keygen": 1, "sim.profile.ecdh": 1,
+		"sim.profile.keygen": 2, "sim.profile.ecdh": 2,
 		"sim.profile.sign": 2, "sim.profile.verify": 2,
 		"sim.price.keygen": 2, "sim.price.ecdh": 2,
 		"sim.price.sign": 3, "sim.price.verify": 3,

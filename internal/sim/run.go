@@ -234,16 +234,15 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 		return Result{}, fmt.Errorf("sim: %s is a %s-field accelerator; cannot run %s",
 			other.accelName, other.name, curveName)
 	}
-	alg, profile := fam.profiler(arch, curveName, wl)
-	key := censusKey{curve: curveName, alg: fam.name + "/" + alg, workload: wl.name}
-	prof, err := censuses.get(key, profile)
+	prof, err := censuses.get(curveName, fam.profile)
 	if err != nil {
 		return Result{}, err
 	}
+	phases := wl.pick(prof.phases)
 	fieldCosts := fam.costs(arch, curveName, prof.bits, prof.k, opt)
 	orderCosts := orderCostsFor(arch, curveName, prof.nbits, opt)
-	tallies := priceWorkload(prof.phases, fieldCosts, orderCosts, fam.accel(arch))
-	return assemble(arch, curveName, opt, wl, prof.phases, tallies, prof.bits)
+	tallies := priceWorkload(phases, fieldCosts, orderCosts, fam.accel(arch))
+	return assemble(arch, curveName, opt, wl, phases, tallies, prof.bits)
 }
 
 // MustRun is Run that panics on error (harness use).
@@ -263,48 +262,34 @@ func digest() []byte {
 // curveFamily is what Run needs to know about one curve family. The
 // profiling, pricing and assembly paths are shared; only these differ.
 type curveFamily struct {
-	name      string          // census-key prefix and error wording
+	name      string          // error wording
 	accelName string          // the family's accelerator
 	accel     func(Arch) bool // arch carries that accelerator
 	costs     func(arch Arch, fieldName string, bits, k int, opt Options) FieldCosts
-	// profiler names the field multiplication algorithm arch's software
-	// stack uses — the only way an arch can influence a census, which is
-	// why the census memo keys on the alg instead of the arch — and
-	// returns the function that profiles wl on the named curve with it.
-	profiler func(arch Arch, curve string, wl workloadDef) (alg string, profile func() (censusProfile, error))
+	// profile runs every workload phase on the named curve
+	// (profileCurve) with the family's fastest functional field
+	// multiplication. The algorithm decides how a product is computed,
+	// not how many are called, so the census does not depend on it;
+	// the priced cost of the arch's own algorithm comes from costs.
+	profile func(curve string) (censusProfile, error)
 }
 
 var primeFamily = curveFamily{
 	name: "prime", accelName: "Monte", accel: Arch.HasMonte, costs: PrimeFieldCosts,
-	profiler: func(arch Arch, curve string, wl workloadDef) (string, func() (censusProfile, error)) {
-		alg := mp.CIOS
-		switch arch {
-		case Baseline, BaselineCache:
-			alg = mp.OSNIST
-		case ISAExt, ISAExtCache:
-			alg = mp.PSNIST
-		}
-		return alg.String(), func() (censusProfile, error) {
-			c := ec.NISTPrimeCurve(curve, alg)
-			phases, err := profileWorkload(c, curve, wl)
-			return censusProfile{phases: phases, k: c.F.K, bits: c.F.Bits, nbits: c.NBits}, err
-		}
+	profile: func(curve string) (censusProfile, error) {
+		c := ec.NISTPrimeCurve(curve, mp.OSNIST)
+		phases, err := profileCurve(c, curve)
+		return censusProfile{phases: phases, k: c.F.K, bits: c.F.Bits, nbits: c.NBits}, err
 	},
 }
 
 var binaryFamily = curveFamily{
 	name: "binary", accelName: "Billie", costs: BinaryFieldCosts,
 	accel: func(arch Arch) bool { return arch == WithBillie },
-	profiler: func(arch Arch, curve string, wl workloadDef) (string, func() (censusProfile, error)) {
-		alg := gf2.CLMul
-		if arch == Baseline || arch == BaselineCache {
-			alg = gf2.Comb
-		}
-		return alg.String(), func() (censusProfile, error) {
-			c := ec.NISTBinaryCurve(curve, alg)
-			phases, err := profileWorkload(c, curve, wl)
-			return censusProfile{phases: phases, k: c.F.K, bits: c.F.M, nbits: c.NBits}, err
-		}
+	profile: func(curve string) (censusProfile, error) {
+		c := ec.NISTBinaryCurve(curve, gf2.CLMul)
+		phases, err := profileCurve(c, curve)
+		return censusProfile{phases: phases, k: c.F.K, bits: c.F.M, nbits: c.NBits}, err
 	},
 }
 

@@ -15,7 +15,8 @@ import (
 
 // The runs golden pins, across commits, the two things every result is
 // made of: the operation census of each profiled phase (per curve,
-// field multiplication algorithm and workload) and the priced outcome of
+// field multiplication algorithm and workload, each workload picking its
+// phases from one profile run) and the priced outcome of
 // each (arch, curve, workload) at the default options, floats as exact
 // %x bits. The census-memo equivalence tests compare two paths inside
 // one build; this file catches a census or pricing drift between builds.
@@ -25,14 +26,15 @@ var update = flag.Bool("update", false, "rewrite testdata/runs.golden from curre
 
 const runsGoldenPath = "testdata/runs.golden"
 
-// goldenCensus profiles one workload on the named curve with the given
-// field multiplication algorithm (an mp.MulAlg for prime curves, a
-// gf2.MulAlg for binary ones).
-func goldenCensus(curve string, alg fmt.Stringer, wl workloadDef) ([]profiledPhase, error) {
+// goldenCensus runs the per-curve profile on the named curve with the
+// given field multiplication algorithm (an mp.MulAlg for prime curves, a
+// gf2.MulAlg for binary ones) instead of the family's fixed one, so the
+// golden proves every algorithm yields the same censuses.
+func goldenCensus(curve string, alg fmt.Stringer) ([]profiledPhase, error) {
 	if a, ok := alg.(mp.MulAlg); ok {
-		return profileWorkload(ec.NISTPrimeCurve(curve, a), curve, wl)
+		return profileCurve(ec.NISTPrimeCurve(curve, a), curve)
 	}
-	return profileWorkload(ec.NISTBinaryCurve(curve, alg.(gf2.MulAlg)), curve, wl)
+	return profileCurve(ec.NISTBinaryCurve(curve, alg.(gf2.MulAlg)), curve)
 }
 
 func renderRunsGolden() (string, error) {
@@ -43,12 +45,12 @@ func renderRunsGolden() (string, error) {
 			algs = []fmt.Stringer{mp.OSNIST, mp.PSNIST, mp.CIOS}
 		}
 		for _, alg := range algs {
+			all, err := goldenCensus(curve, alg)
+			if err != nil {
+				return "", fmt.Errorf("census %s/%s: %w", curve, alg, err)
+			}
 			for _, wl := range workloadDefs {
-				phases, err := goldenCensus(curve, alg, wl)
-				if err != nil {
-					return "", fmt.Errorf("census %s/%s/%s: %w", curve, alg, wl.name, err)
-				}
-				for _, p := range phases {
+				for _, p := range wl.pick(all) {
 					f := p.census.Field
 					fmt.Fprintf(&b, "census %s %s %s %s field mul=%d sqr=%d add=%d sub=%d inv=%d",
 						curve, alg, wl.name, p.name, f.Mul, f.Sqr, f.Add, f.Sub, f.Inv)
@@ -88,7 +90,7 @@ func renderRunsGolden() (string, error) {
 
 func TestRunsGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("profiles every curve x algorithm x workload")
+		t.Skip("profiles every curve x algorithm")
 	}
 	got, err := renderRunsGolden()
 	if err != nil {

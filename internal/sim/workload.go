@@ -44,10 +44,7 @@ const (
 	PhaseVerify = "verify"
 )
 
-// workloadDef names a workload's phases. A phase list containing
-// PhaseVerify must list PhaseSign earlier: verification consumes the
-// signature the sign phase produced (the profilers return a clean error
-// otherwise).
+// workloadDef names a workload's phases, in the order they are priced.
 type workloadDef struct {
 	name   string
 	phases []string
@@ -105,69 +102,66 @@ type profiledPhase struct {
 	census ecdsa.OpProfile
 }
 
-// profileWorkload executes every phase of the workload functionally on
-// the named curve and returns the per-phase censuses.
-func profileWorkload[P, A any](curve ec.Curve[P, A], curveName string, wl workloadDef) ([]profiledPhase, error) {
-	seed := []byte("sim-key-" + curveName)
-	var priv *ecdsa.PrivateKey[P, A]
-	ensureKey := func() {
-		if priv == nil {
-			priv = ecdsa.GenerateKey(curve, seed)
+// pick selects the workload's phases, in workload order, from a curve's
+// profile run.
+func (w workloadDef) pick(all []profiledPhase) []profiledPhase {
+	out := make([]profiledPhase, 0, len(w.phases))
+	for _, name := range w.phases {
+		for _, p := range all {
+			if p.name == name {
+				out = append(out, p)
+			}
 		}
 	}
-	var sig *ecdsa.Signature
+	return out
+}
+
+// profileCurve executes every phase once, functionally, on the named
+// curve and returns their censuses: key generation, ECDH against the
+// fixed peer key, then a signature and its verification under the
+// generated key. The run is deterministic, so it serves every workload.
+func profileCurve[P, A any](curve ec.Curve[P, A], curveName string) ([]profiledPhase, error) {
 	reg := metrics()
-	phases := make([]profiledPhase, 0, len(wl.phases))
-	for _, ph := range wl.phases {
-		var phaseStart time.Time
+	phases := make([]profiledPhase, 0, 4)
+	start := time.Now()
+	record := func(name string, census ecdsa.OpProfile) {
 		if reg != nil {
-			phaseStart = time.Now()
+			reg.Histogram("sim.profile." + name).Observe(time.Since(start))
 		}
-		var census ecdsa.OpProfile
-		switch ph {
-		case PhaseKeyGen:
-			priv, census = ecdsa.ProfileKeyGen(curve, seed)
-		case PhaseECDH:
-			ensureKey()
-			// The peer's half runs un-profiled first: only the device
-			// side is priced, but both sides must really agree.
-			peer := ecdsa.GenerateKey(curve, []byte("sim-peer-"+curveName))
-			peerKey, err := ecdsa.ECDH(peer, priv.Q)
-			if err != nil {
-				return nil, err
-			}
-			var key []byte
-			key, census, err = ecdsa.ECDHProfile(priv, peer.Q)
-			if err != nil {
-				return nil, err
-			}
-			if string(key) != string(peerKey) {
-				return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curveName)
-			}
-		case PhaseSign:
-			ensureKey()
-			var err error
-			sig, census, err = ecdsa.ProfileSign(priv, digest())
-			if err != nil {
-				return nil, err
-			}
-		case PhaseVerify:
-			if priv == nil || sig == nil {
-				return nil, fmt.Errorf("sim: workload %q verifies before signing", wl.name)
-			}
-			var ok bool
-			ok, census = ecdsa.ProfileVerify(curve, priv.Q, digest(), sig)
-			if !ok {
-				return nil, fmt.Errorf("sim: functional verification failed on %s", curveName)
-			}
-		default:
-			return nil, fmt.Errorf("sim: unknown workload phase %q", ph)
-		}
-		if reg != nil {
-			reg.Histogram("sim.profile." + ph).Observe(time.Since(phaseStart))
-		}
-		phases = append(phases, profiledPhase{name: ph, census: census})
+		phases = append(phases, profiledPhase{name: name, census: census})
+		start = time.Now()
 	}
+
+	priv, census := ecdsa.ProfileKeyGen(curve, []byte("sim-key-"+curveName))
+	record(PhaseKeyGen, census)
+
+	// The peer's half runs un-profiled first: only the device side is
+	// priced, but both sides must really agree.
+	peer := ecdsa.GenerateKey(curve, []byte("sim-peer-"+curveName))
+	peerKey, err := ecdsa.ECDH(peer, priv.Q)
+	if err != nil {
+		return nil, err
+	}
+	key, census, err := ecdsa.ECDHProfile(priv, peer.Q)
+	if err != nil {
+		return nil, err
+	}
+	if string(key) != string(peerKey) {
+		return nil, fmt.Errorf("sim: ECDH sides disagree on %s", curveName)
+	}
+	record(PhaseECDH, census)
+
+	sig, census, err := ecdsa.ProfileSign(priv, digest())
+	if err != nil {
+		return nil, err
+	}
+	record(PhaseSign, census)
+
+	ok, census := ecdsa.ProfileVerify(curve, priv.Q, digest(), sig)
+	if !ok {
+		return nil, fmt.Errorf("sim: functional verification failed on %s", curveName)
+	}
+	record(PhaseVerify, census)
 	return phases, nil
 }
 
