@@ -137,6 +137,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		if err := repro.CheckZeroAxisFlags(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		opt := repro.DefaultOptions()
 		applyAxes(&opt)
 		var reg *repro.Metrics

@@ -92,6 +92,50 @@ func TestRunOnlyFlags(t *testing.T) {
 	}
 }
 
+// TestZeroAxisFlags pins the rejection of an explicit 0 for a knob
+// whose modeled range excludes it: Simulate reads 0 as unset, so the run
+// would silently price the default instead. The message is the one a
+// negative value gets, naming the flag; -line 0 is the default line and
+// stays accepted.
+func TestZeroAxisFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string // substring of the error; "" = accepted
+	}{
+		{"digit", []string{"-digit", "0"}, "-digit 0: Billie digit size 0 out of modeled range [1, 8]"},
+		{"width", []string{"-width", "0"}, "-width 0: Monte datapath width 0 not a synthesized configuration"},
+		{"cache", []string{"-cache", "0"}, "-cache 0: cache size 0 out of modeled range [256, 65536]"},
+		{"zero-after-valid", []string{"-width", "16", "-digit", "0"}, "-digit 0:"},
+
+		{"unset", nil, ""},
+		{"line-default", []string{"-line", "0"}, ""},
+		{"valid-values", []string{"-digit", "1", "-width", "8", "-cache", "256"}, ""},
+		{"bool-false", []string{"-prefetch=false"}, ""},
+		{"workload", []string{"-workload", "keygen"}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("dse", flag.ContinueOnError)
+			repro.RegisterDimensionFlags(fs)
+			repro.RegisterAxisFlags(fs)
+			if err := fs.Parse(c.args); err != nil {
+				t.Fatal(err)
+			}
+			err := repro.CheckZeroAxisFlags(fs)
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("CheckZeroAxisFlags(%q) = %v, want accepted", c.args, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("CheckZeroAxisFlags(%q) = %v, want an error naming %q", c.args, err, c.want)
+			}
+		})
+	}
+}
+
 // TestSweepAxisSubsets pins the -curves/-workload list parsing: names
 // are trimmed and kept in order, while an empty or repeated name is
 // rejected before any sweep runs (a repeat would sweep its slice of

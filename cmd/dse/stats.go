@@ -68,9 +68,9 @@ func printStats(w io.Writer, reg *repro.Metrics, timing *repro.SweepTiming) {
 
 	if timing != nil {
 		fmt.Fprintln(w, "sweep stages:")
-		fmt.Fprintf(w, "  total %.3fs  expand %.3fs  load %.3fs (%d B)  flush %.3fs (%d B)\n",
+		fmt.Fprintf(w, "  total %.3fs  expand %.3fs  load %.3fs (%d B)  census %.3fs  flush %.3fs (%d B)\n",
 			timing.TotalSeconds, timing.ExpandSeconds,
-			timing.LoadSeconds, timing.LoadBytes,
+			timing.LoadSeconds, timing.LoadBytes, timing.CensusSeconds,
 			timing.FlushSeconds, timing.FlushBytes)
 		if timing.Simulated.Count > 0 {
 			fmt.Fprintf(w, "  simulated points: %d (p50 %.1fms, p95 %.1fms, max %.1fms)\n",

@@ -126,6 +126,7 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		storeSynced               bool
 		workersUsed               int
 		loadSeconds, flushSeconds float64
+		censusSeconds             float64
 		loadBytes, flushBytes     int64
 	)
 	var simHist, cachedHist telemetry.Histogram
@@ -184,6 +185,7 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 		if res.Timing != nil {
 			loadSeconds += res.Timing.LoadSeconds
 			loadBytes += res.Timing.LoadBytes
+			censusSeconds += res.Timing.CensusSeconds
 			flushSeconds += res.Timing.FlushSeconds
 			flushBytes += res.Timing.FlushBytes
 		}
@@ -251,6 +253,7 @@ func AdaptiveSweep(spec SweepSpec, opt SweepOptions) (*AdaptiveResult, error) {
 			ExpandSeconds: genDur.Seconds(),
 			LoadSeconds:   loadSeconds,
 			LoadBytes:     loadBytes,
+			CensusSeconds: censusSeconds,
 			FlushSeconds:  flushSeconds,
 			FlushBytes:    flushBytes,
 			Simulated:     simHist.Snapshot(),

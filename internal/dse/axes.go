@@ -773,6 +773,29 @@ func RegisterAxisFlags(fs *flag.FlagSet) func(o *sim.Options) {
 	}
 }
 
+// CheckZeroAxisFlags rejects an int option flag set on fs to an explicit
+// 0 that the knob's domain check refuses. sim.Run reads a zero int
+// option as unset and fills in the default, so "-digit 0" would
+// otherwise price the default digit without a word. The error names the
+// flag and carries the modeled-range message a negative value gets.
+func CheckZeroAxisFlags(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		g, ok := f.Value.(flag.Getter)
+		if err != nil || !ok || g.Get() != any(0) {
+			return
+		}
+		for _, i := range optIdx {
+			if ax := axes[i]; ax.Flag.Name == f.Name && ax.check != nil {
+				if cerr := ax.check(intVal(0)); cerr != nil {
+					err = fmt.Errorf("-%s 0: %w", f.Name, cerr)
+				}
+			}
+		}
+	})
+	return err
+}
+
 // RegisterDimensionFlags registers the dimension axes' CLI flags
 // (-arch, -curve) on fs from their registry specs and returns the
 // bound values keyed by flag name. Dimension flags select what to run

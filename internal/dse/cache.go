@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -83,6 +84,24 @@ func (c *Cache) lookup(hash string) (sim.Result, bool) {
 		return sim.Result{}, false
 	}
 	return e.res, true
+}
+
+// uncachedCurves lists, in first-seen order, the curves of the cfgs
+// that hold an entry not yet in the cache: the curves whose census
+// GetOrRun may still need.
+func (c *Cache) uncachedCurves(cfgs []Config) []string {
+	var out []string
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, cfg := range cfgs {
+		if slices.Contains(out, cfg.Curve) {
+			continue
+		}
+		if _, ok := c.m[cfg.Hash()]; !ok {
+			out = append(out, cfg.Curve)
+		}
+	}
+	return out
 }
 
 // GetOrRun returns the simulation result for cfg, running it at most

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -83,6 +84,11 @@ var modelFingerprint = sync.OnceValue(func() string {
 		{sim.ISAExt, "P-384", func(o *sim.Options) { o.Workload = sim.WorkloadECDH }},
 		{sim.WithBillie, "B-283", func(o *sim.Options) { o.Workload = sim.WorkloadHandshake }},
 	}
+	curves := make([]string, len(probes))
+	for i, p := range probes {
+		curves[i] = p.curve
+	}
+	sim.ProfileCurves(curves, runtime.GOMAXPROCS(0))
 	h := sha256.New()
 	fmt.Fprintf(h, "keyfmt:%s;", Config{Arch: sim.WithMonte, Curve: "P-192"}.Key())
 	fmt.Fprintf(h, "keyfmt-wl:%s;", Config{Arch: sim.WithMonte, Curve: "P-192",
@@ -143,6 +149,10 @@ var scanBufPool = sync.Pool{
 	},
 }
 
+// entryBufPool recycles LoadFile's decoded-entry slice, which holds the
+// lines while the model fingerprint is still being computed.
+var entryBufPool = sync.Pool{New: func() any { return new([]loadEntry) }}
+
 // DiskCachePath returns the store path inside a cache directory.
 func DiskCachePath(dir string) string { return filepath.Join(dir, DiskCacheFile) }
 
@@ -178,32 +188,51 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	}
 	var hdr diskHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil ||
-		hdr.Format != diskFormatName || hdr.Version != diskFormatVersion ||
-		hdr.Model != modelFingerprint() {
-		return 0, nil // foreign format, stale schema, or stale model: start fresh
+		hdr.Format != diskFormatName || hdr.Version != diskFormatVersion {
+		return 0, nil // foreign format or stale schema: start fresh
 	}
 
-	n := 0
-	// One entry struct for the whole load, reset per line. The reset is
-	// mandatory, not just hygiene: Unmarshal reuses an existing
+	// The model fingerprint profiles and prices its probes; it runs
+	// while the lines decode, and is compared before any entry is
+	// merged.
+	model := make(chan string, 1)
+	go func() { model <- modelFingerprint() }()
+	ebuf := entryBufPool.Get().(*[]loadEntry)
+	entries := (*ebuf)[:0]
+	defer func() {
+		clear(entries) // drop the results; the cache holds its own copies
+		*ebuf = entries[:0]
+		entryBufPool.Put(ebuf)
+	}()
+	// One entry struct for the whole decode, reset per line. The reset
+	// is mandatory, not just hygiene: Unmarshal reuses an existing
 	// Result.Phases backing array when capacity allows, and the previous
-	// line's Result — already stored in the cache map — shares it.
+	// line's Result — already copied into entries — shares it.
 	var e loadEntry
 	for sc.Scan() {
 		e = loadEntry{}
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || !e.consistent() {
-			return n, nil // truncated/corrupted tail: keep what parsed so far
+			break // truncated/corrupted tail: keep what parsed so far
 		}
-		c.mu.Lock()
-		if _, ok := c.m[e.Hash]; !ok {
-			c.m[e.Hash] = cacheEntry{res: e.Result}
+		entries = append(entries, e)
+	}
+	if <-model != hdr.Model {
+		return 0, nil // stale model: start fresh
+	}
+
+	n := 0
+	c.mu.Lock()
+	for _, le := range entries {
+		if _, ok := c.m[le.Hash]; !ok {
+			c.m[le.Hash] = cacheEntry{res: le.Result}
 			n++
 		}
-		c.mu.Unlock()
 	}
+	c.mu.Unlock()
 	// A real read failure is not corruption: the on-disk suffix may be
 	// intact, and silently succeeding here would let the post-sweep
-	// flush rewrite the store without it. Surface it instead.
+	// flush rewrite the store without it. Surface it instead. (After a
+	// corrupt line Scan had succeeded, so Err is nil.)
 	if err := sc.Err(); err != nil {
 		return n, fmt.Errorf("dse: read result cache: %w", err)
 	}

@@ -250,6 +250,79 @@ func TestDiskCacheStaleModelIgnored(t *testing.T) {
 	}
 }
 
+// TestDiskCacheStaleModelValidLinesLoadNothing pins the concurrent
+// load's ordering: the lines of a current-format store decode while the
+// model fingerprint is computed, but a header whose model is not this
+// build's must still merge nothing, however valid the lines are.
+func TestDiskCacheStaleModelValidLinesLoadNothing(t *testing.T) {
+	path, lines := storeLines(t)
+	var hdr diskHeader
+	if err := json.Unmarshal(lines[0], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr.Model = "0000000000000000"
+	stale, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[0] = stale
+	if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	n, err := c.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || c.Len() != 0 {
+		t.Errorf("stale-model store with %d valid lines merged %d entries (cache holds %d), want 0",
+			len(lines)-1, n, c.Len())
+	}
+}
+
+// TestDiskCacheCorruptLineKeepsPrefix checks that the first corrupt
+// line ends the load: the entries before it are kept and the valid
+// entries after it are not read.
+func TestDiskCacheCorruptLineKeepsPrefix(t *testing.T) {
+	path, lines := storeLines(t)
+	if len(lines) < 4 {
+		t.Fatalf("store has %d lines, need >= 4 (header + 3 entries)", len(lines))
+	}
+	damaged := append([][]byte{lines[0], lines[1], []byte("{not json")}, lines[2:]...)
+	if err := os.WriteFile(path, append(bytes.Join(damaged, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	n, err := c.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || c.Len() != 1 {
+		t.Errorf("loaded %d entries (cache holds %d), want the 1-entry prefix", n, c.Len())
+	}
+}
+
+// TestDiskCacheReadErrorSurfaces checks that a real read failure is
+// reported, not taken for a corrupt tail: a line longer than the
+// scanner's limit fails the read, and the entries before it are still
+// merged.
+func TestDiskCacheReadErrorSurfaces(t *testing.T) {
+	path, lines := storeLines(t)
+	long := bytes.Repeat([]byte("x"), 5*1024*1024)
+	data := append(bytes.Join(append(lines, long), []byte("\n")), '\n')
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	n, err := c.LoadFile(path)
+	if err == nil || !strings.Contains(err.Error(), "read result cache") {
+		t.Fatalf("LoadFile err = %v, want the read error", err)
+	}
+	if want := len(lines) - 1; n != want || c.Len() != want {
+		t.Errorf("loaded %d entries (cache holds %d) before the read error, want %d", n, c.Len(), want)
+	}
+}
+
 func TestDiskCacheLoadCountsOnlyNewEntries(t *testing.T) {
 	// Loading into a cache that already holds every hash must report 0
 	// merged entries, not the file's line count.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -211,6 +212,23 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 		}
 	}
 
+	// Profile every curve the pool will price before it starts, in
+	// parallel and largest field first. Fed in expansion order, the
+	// workers would reach each curve together and all but one would
+	// block on its profile. A curve whose configurations are all cached
+	// needs no census, so a fully warm restart profiles nothing here.
+	var censusSeconds float64
+	if curves := cache.uncachedCurves(cfgs); len(curves) > 0 {
+		var start time.Time
+		if telOn {
+			start = time.Now()
+		}
+		sim.ProfileCurves(curves, workers)
+		if telOn {
+			censusSeconds = time.Since(start).Seconds()
+		}
+	}
+
 	points := make([]Point, len(cfgs))
 	errs := make([]error, len(cfgs))
 	var hits, misses atomic.Uint64
@@ -390,6 +408,7 @@ func sweepConfigs(spec SweepSpec, cfgs []Config, opt SweepOptions, meta sweepMet
 			ExpandSeconds: meta.expandDur.Seconds(),
 			LoadSeconds:   loadSeconds,
 			LoadBytes:     loadBytes,
+			CensusSeconds: censusSeconds,
 			FlushSeconds:  flushSeconds,
 			FlushBytes:    flushBytes,
 			Simulated:     simHist.Snapshot(),

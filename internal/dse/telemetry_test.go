@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -113,6 +114,49 @@ func TestSweepTimingAndMetrics(t *testing.T) {
 	}
 	if bytes.Contains(plainJSON, []byte(`"timing"`)) {
 		t.Error("uninstrumented sweep JSON grew a timing block")
+	}
+}
+
+// TestSweepTimingCensusStage checks the census stage: a cold sweep
+// profiles its curves before the pool starts and times it, while a warm
+// restart served wholly from the store profiles nothing and reports 0.
+// The stage is carried out of band: without Timing, the instrumented
+// sweep's JSON is the plain sweep's, byte for byte.
+func TestSweepTimingCensusStage(t *testing.T) {
+	sim.ResetCensusMemo()
+	defer sim.ResetCensusMemo()
+	spec := diskSpec()
+	dir := t.TempDir()
+	cold, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: dir, Metrics: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Timing.CensusSeconds <= 0 {
+		t.Errorf("cold sweep census stage = %gs, want > 0", cold.Timing.CensusSeconds)
+	}
+	warm, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: dir, Metrics: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Timing.CensusSeconds != 0 {
+		t.Errorf("warm restart census stage = %gs, want 0 (every config cached)", warm.Timing.CensusSeconds)
+	}
+
+	plain, err := Sweep(spec, SweepOptions{Cache: NewCache(), CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainJSON, err := plain.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Timing = nil
+	coldJSON, err := cold.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(coldJSON, plainJSON) {
+		t.Error("instrumented sweep JSON differs from the plain sweep's beyond its timing block")
 	}
 }
 

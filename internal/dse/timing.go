@@ -20,6 +20,10 @@ type SweepTiming struct {
 	// without a CacheDir.
 	LoadSeconds float64 `json:"loadSeconds,omitempty"`
 	LoadBytes   int64   `json:"loadBytes,omitempty"`
+	// CensusSeconds covers profiling, before the pool starts, the
+	// censuses of the curves whose configurations are not cached; zero
+	// when none is needed (a fully warm restart).
+	CensusSeconds float64 `json:"censusSeconds,omitempty"`
 	// FlushSeconds/FlushBytes cover writing the store back; zero when
 	// nothing was flushed (no CacheDir, or the store was unchanged).
 	FlushSeconds float64 `json:"flushSeconds,omitempty"`

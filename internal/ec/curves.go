@@ -154,6 +154,17 @@ func KnownCurve(name string) bool {
 	return prime || binary
 }
 
+// OrderBits returns the named curve's group-order size in bits, or 0 for
+// an unknown curve. The NIST cofactors are 1 (prime) and 2 (binary), so
+// it is the field size to within one bit: it ranks curves by field size
+// without building a field.
+func OrderBits(name string) int {
+	if def, ok := primeCurveDefs[name]; ok {
+		return def.nbits
+	}
+	return binaryCurveDefs[name].nbits
+}
+
 // SecurityPairs maps each prime curve to the binary curve of equivalent
 // security (Figure 7.7's pairing).
 var SecurityPairs = []struct{ Prime, Binary string }{

@@ -8,6 +8,8 @@ package report
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/billie"
@@ -478,8 +480,11 @@ func GatingStudy() (string, error) {
 }
 
 // All returns every figure and table in order (the Names order). The
-// first experiment that fails aborts the render with its error.
+// first experiment that fails aborts the render with its error. The
+// experiments render serially, so every curve's census is profiled up
+// front, in parallel.
 func All() (string, error) {
+	sim.ProfileCurves(append(slices.Clone(ec.PrimeCurveNames), ec.BinaryCurveNames...), runtime.GOMAXPROCS(0))
 	names := Names()
 	parts := make([]string, 0, len(names))
 	for _, name := range names {

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/ec"
 )
 
 // The census memo: one functional profile run per curve serves every
@@ -98,6 +101,53 @@ func CensusMemoLen() int {
 	censuses.mu.Lock()
 	defer censuses.mu.Unlock()
 	return len(censuses.m)
+}
+
+// ProfileCurves runs the census profile for every listed curve the memo
+// does not hold yet, on at most workers goroutines, largest field first.
+// Repeated and unknown names are skipped (Run reports an unknown curve).
+// Each profile goes through the memo's singleflight, so a Run racing on
+// the same curve still profiles it at most once, and a profile error is
+// remembered and re-served by Run. A curve already memoized is skipped
+// rather than counted as a hit. With the memo disabled it does nothing.
+func ProfileCurves(curves []string, workers int) {
+	censuses.prefetch(curves, workers, func(curve string) (censusProfile, error) {
+		fam, _ := families(curve)
+		return fam.profile(curve)
+	})
+}
+
+// prefetch is ProfileCurves over an injectable profile function.
+func (c *censusCache) prefetch(curves []string, workers int, profile func(curve string) (censusProfile, error)) {
+	if censusMemoOff.Load() {
+		return
+	}
+	var todo []string
+	c.mu.Lock()
+	for _, curve := range curves {
+		if _, done := c.m[curve]; !done && ec.KnownCurve(curve) && !slices.Contains(todo, curve) {
+			todo = append(todo, curve)
+		}
+	}
+	c.mu.Unlock()
+	slices.SortStableFunc(todo, func(a, b string) int { return ec.OrderBits(b) - ec.OrderBits(a) })
+
+	jobs := make(chan string)
+	var wg sync.WaitGroup
+	for range min(max(workers, 1), len(todo)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for curve := range jobs {
+				c.get(curve, profile)
+			}
+		}()
+	}
+	for _, curve := range todo {
+		jobs <- curve
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // get returns the memoized profile for curve, running profile(curve) at

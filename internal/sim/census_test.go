@@ -241,3 +241,133 @@ func TestAssembleZeroCycleTallyNoNaN(t *testing.T) {
 		t.Errorf("Power.DynamicW = %v, want 0 for a zero-cycle workload", res.Power.DynamicW)
 	}
 }
+
+// TestProfileCurvesDedupesLargestFirst pins ProfileCurves' work list:
+// repeated and unknown names are dropped, the remaining curves are
+// profiled largest field first, and a curve already memoized is skipped
+// without counting a hit.
+func TestProfileCurvesDedupesLargestFirst(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+
+	var order []string
+	record := func(curve string) (censusProfile, error) {
+		order = append(order, curve)
+		return censusProfile{}, nil
+	}
+	censuses.prefetch([]string{"P-192", "B-571", "P-192", "X-1", "P-521", "B-163", "B-571"}, 1, record)
+	if want := []string{"B-571", "P-521", "P-192", "B-163"}; !reflect.DeepEqual(order, want) {
+		t.Errorf("profiled %q, want %q (deduplicated, largest field first)", order, want)
+	}
+	if h, m := CensusMemoStats(); h != 0 || m != 4 {
+		t.Errorf("counters = %d hits / %d misses, want 0 / 4", h, m)
+	}
+
+	// Memoized curves are skipped; the real entry point profiles only
+	// the new one.
+	ProfileCurves([]string{"P-192", "P-224", "P-224"}, 4)
+	if h, m := CensusMemoStats(); h != 0 || m != 5 {
+		t.Errorf("counters = %d hits / %d misses, want 0 / 5", h, m)
+	}
+	if n := CensusMemoLen(); n != 5 {
+		t.Errorf("memo holds %d entries, want 5", n)
+	}
+}
+
+// TestProfileCurvesDisabledMemo checks that ProfileCurves does nothing
+// while the memo is off: there is nowhere to keep a prefetched census.
+func TestProfileCurvesDisabledMemo(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+	DisableCensusMemo(true)
+	defer DisableCensusMemo(false)
+
+	calls := 0
+	censuses.prefetch([]string{"P-192", "B-163"}, 2, func(string) (censusProfile, error) {
+		calls++
+		return censusProfile{}, nil
+	})
+	ProfileCurves([]string{"P-192", "B-163"}, 2)
+	if calls != 0 {
+		t.Errorf("profile ran %d times with the memo off, want 0", calls)
+	}
+	if h, m := CensusMemoStats(); h != 0 || m != 0 {
+		t.Errorf("disabled memo moved counters: %d hits / %d misses", h, m)
+	}
+	if n := CensusMemoLen(); n != 0 {
+		t.Errorf("disabled memo stored %d entries", n)
+	}
+}
+
+// TestProfileCurvesRacesRun runs ProfileCurves against concurrent Run
+// calls on the same curves (under -race in CI): the singleflight must
+// still profile each curve exactly once, and every Run must see the
+// census a lone Run computes.
+func TestProfileCurvesRacesRun(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+
+	curves := []string{"P-192", "B-163", "P-224"}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ProfileCurves(curves, 2)
+		}()
+	}
+	results := make([]Result, 2*len(curves))
+	for i := range results {
+		curve := curves[i%len(curves)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Run(Baseline, curve, Options{Workload: WorkloadECDH})
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+
+	if _, m := CensusMemoStats(); m != uint64(len(curves)) {
+		t.Errorf("memo misses = %d, want %d (one profile per curve)", m, len(curves))
+	}
+	ResetCensusMemo()
+	for i, res := range results {
+		want, err := Run(Baseline, res.Curve, Options{Workload: WorkloadECDH})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("run %d on %s diverged from a lone run", i, res.Curve)
+		}
+	}
+}
+
+// TestProfileCurvesErrorServedByRun pins the error contract through the
+// prefetch: a profile that fails in ProfileCurves is remembered, and Run
+// re-serves that error without profiling again and without a hit.
+func TestProfileCurvesErrorServedByRun(t *testing.T) {
+	ResetCensusMemo()
+	defer ResetCensusMemo()
+
+	boom := errors.New("profiler exploded")
+	calls := 0
+	censuses.prefetch([]string{"P-192"}, 2, func(string) (censusProfile, error) {
+		calls++
+		return censusProfile{}, boom
+	})
+	for i := 0; i < 2; i++ {
+		if _, err := Run(Baseline, "P-192", Options{}); err != boom {
+			t.Fatalf("Run %d: err = %v, want the prefetched %v", i, err, boom)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("profile ran %d times, want 1 (error must be remembered)", calls)
+	}
+	if h, m := CensusMemoStats(); h != 0 || m != 1 {
+		t.Errorf("counters = %d hits / %d misses, want 0 / 1", h, m)
+	}
+}

@@ -226,10 +226,7 @@ func Run(arch Arch, curveName string, opt Options) (Result, error) {
 	}
 	// validateOptions already rejected unknown workload names.
 	wl, _ := workloadByName(opt.Workload)
-	fam, other := &primeFamily, &binaryFamily
-	if !IsPrimeCurve(curveName) {
-		fam, other = other, fam
-	}
+	fam, other := families(curveName)
 	if other.accel(arch) {
 		return Result{}, fmt.Errorf("sim: %s is a %s-field accelerator; cannot run %s",
 			other.accelName, other.name, curveName)
@@ -291,6 +288,14 @@ var binaryFamily = curveFamily{
 		phases, err := profileCurve(c, curve)
 		return censusProfile{phases: phases, k: c.F.K, bits: c.F.M, nbits: c.NBits}, err
 	},
+}
+
+// families returns the named curve's family and the other one.
+func families(curveName string) (fam, other *curveFamily) {
+	if IsPrimeCurve(curveName) {
+		return &primeFamily, &binaryFamily
+	}
+	return &binaryFamily, &primeFamily
 }
 
 // orderCostsFor prices group-order (protocol) arithmetic, which always

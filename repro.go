@@ -210,6 +210,11 @@ func RegisterAxisFlags(fs *flag.FlagSet) func(*Options) {
 	return dse.RegisterAxisFlags(fs)
 }
 
+// CheckZeroAxisFlags rejects an option flag explicitly set to 0 when 0
+// is outside the knob's modeled range (-cache, -width, -digit): Simulate
+// would read the 0 as unset and run the default instead.
+func CheckZeroAxisFlags(fs *flag.FlagSet) error { return dse.CheckZeroAxisFlags(fs) }
+
 // RegisterDimensionFlags registers the dimension axes' selection flags
 // (-arch, -curve) on fs from the dse axis registry and returns the
 // bound values keyed by flag name; convert them with ParseArchitecture
