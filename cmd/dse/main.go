@@ -361,23 +361,17 @@ func runSweep(cfg sweepConfig) error {
 	}
 	switch {
 	case cfg.jsonOut && cfg.paretoOnly:
-		out, err := repro.SweepFrontiersJSON(res.Points)
-		if err != nil {
+		if err := writeDoc(repro.SweepFrontiersJSON(res.Points)); err != nil {
 			return err
 		}
-		fmt.Println(string(out))
 	case cfg.jsonOut && ar != nil:
-		out, err := ar.MarshalJSON()
-		if err != nil {
+		if err := writeDoc(ar.MarshalJSON()); err != nil {
 			return err
 		}
-		fmt.Println(string(out))
 	case cfg.jsonOut:
-		out, err := res.MarshalJSON()
-		if err != nil {
+		if err := writeDoc(res.MarshalJSON()); err != nil {
 			return err
 		}
-		fmt.Println(string(out))
 	case ar != nil:
 		if cfg.paretoOnly {
 			frontier := repro.Pareto(res.Points)
@@ -420,6 +414,16 @@ func runSweep(cfg sweepConfig) error {
 		printStats(w, reg, res.Timing)
 	}
 	return nil
+}
+
+// writeDoc writes a rendered JSON document, newline-terminated, to
+// stdout.
+func writeDoc(doc []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = os.Stdout.Write(append(doc, '\n'))
+	return err
 }
 
 // printPoints renders a point table.

@@ -2,26 +2,35 @@ package dse
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/sim"
 )
 
 // On-disk result-cache format: a line-oriented JSON file. The first line
-// is a header naming the format and version; every following line is one
-// {hash, key, result} entry. Line-orientation is what makes the store
+// is a header naming the format and version (encoding/json); every
+// following line is one {hash, key, result} entry, written and read by
+// the store line codec (storeline.go) in one canonical form — the bytes
+// encoding/json gives for diskEntry. The reader admits that form only:
+// a line that is valid JSON in any other spelling (a hand edit, say)
+// is corrupt. Line-orientation is what makes the store
 // corruption-tolerant: a process killed mid-flush leaves at most one
 // truncated trailing line, which LoadFile drops while keeping every
-// complete entry before it. Writes go through a temp file + rename, so a
-// reader never observes a half-written file at the canonical path.
+// complete entry before it; a corrupt line, however long, ends the load
+// the same way. Writes go through a temp file + rename, so a reader
+// never observes a half-written file at the canonical path.
 //
 // The version covers both the entry schema (sim.Result's JSON shape) and
 // the canonical Key format the hashes were computed under; the model
@@ -110,6 +119,9 @@ var modelFingerprint = sync.OnceValue(func() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 })
 
+// diskEntry is one store line: the schema appendStoreLine writes and
+// parseStoreLine reads (storeline.go), and, through its json tags, the
+// encoding/json form that codec reproduces byte for byte.
 type diskEntry struct {
 	Hash string `json:"hash"`
 	// Key is the human-readable canonical configuration, stored for
@@ -119,13 +131,12 @@ type diskEntry struct {
 	Result sim.Result `json:"result"`
 }
 
-// loadEntry is the decode-side view of diskEntry: it omits the Key
-// field so the warm-load path never allocates and copies the audit
-// string it would immediately discard (encoding/json skips JSON fields
-// with no struct destination).
+// loadEntry is the decode-side view of diskEntry: parseStoreLine checks
+// the key's form but does not keep it, so the warm-load path never
+// copies the audit string it would immediately discard.
 type loadEntry struct {
-	Hash   string     `json:"hash"`
-	Result sim.Result `json:"result"`
+	Hash   string
+	Result sim.Result
 }
 
 // consistent reports whether a decoded entry is one SaveFile could have
@@ -162,10 +173,12 @@ func DiskCachePath(dir string) string { return filepath.Join(dir, DiskCacheFile)
 // version-mismatched or model-mismatched header, and a truncated or
 // corrupted tail are all non-fatal: the valid prefix (possibly empty) is
 // loaded and the rest ignored, so a damaged or stale store costs
-// re-simulation, never a failed sweep. A line that parses is still
-// corrupt unless its hash is the hash of its own result's configuration
-// and the result priced at least one phase: a hollow or mismatched entry
-// would otherwise be served as a hit and never repaired.
+// re-simulation, never a failed sweep. A line is corrupt unless it is in
+// the canonical form SaveFile writes (parseStoreLine), its hash is the
+// hash of its own result's configuration and the result priced at least
+// one phase: a hollow or mismatched entry would otherwise be served as a
+// hit and never repaired. A line too long to scan is corrupt too; only a
+// failed read is an error.
 func (c *Cache) LoadFile(path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -175,16 +188,18 @@ func (c *Cache) LoadFile(path string) (int, error) {
 		return 0, fmt.Errorf("dse: open result cache: %w", err)
 	}
 	defer f.Close()
+	return c.load(f)
+}
 
+// load is LoadFile over an open store.
+func (c *Cache) load(r io.Reader) (int, error) {
 	buf := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(buf)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(*buf, 4*1024*1024)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(*buf, maxStoreLine)
+	sc.Split(scanStoreLines)
 	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return 0, fmt.Errorf("dse: read result cache: %w", err)
-		}
-		return 0, nil // empty file
+		return 0, readErr(sc.Err()) // empty file, or no header to trust
 	}
 	var hdr diskHeader
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil ||
@@ -204,14 +219,10 @@ func (c *Cache) LoadFile(path string) (int, error) {
 		*ebuf = entries[:0]
 		entryBufPool.Put(ebuf)
 	}()
-	// One entry struct for the whole decode, reset per line. The reset
-	// is mandatory, not just hygiene: Unmarshal reuses an existing
-	// Result.Phases backing array when capacity allows, and the previous
-	// line's Result — already copied into entries — shares it.
-	var e loadEntry
+	strs := make(map[string]string)
 	for sc.Scan() {
-		e = loadEntry{}
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || !e.consistent() {
+		var e loadEntry
+		if _, ok := parseStoreLine(sc.Bytes(), &e, strs); !ok || !e.consistent() {
 			break // truncated/corrupted tail: keep what parsed so far
 		}
 		entries = append(entries, e)
@@ -222,6 +233,11 @@ func (c *Cache) LoadFile(path string) (int, error) {
 
 	n := 0
 	c.mu.Lock()
+	if len(c.m) == 0 {
+		// Size a fresh cache for the store up front instead of growing
+		// it through every doubling.
+		c.m = make(map[string]cacheEntry, len(entries))
+	}
 	for _, le := range entries {
 		if _, ok := c.m[le.Hash]; !ok {
 			c.m[le.Hash] = cacheEntry{res: le.Result}
@@ -233,10 +249,34 @@ func (c *Cache) LoadFile(path string) (int, error) {
 	// intact, and silently succeeding here would let the post-sweep
 	// flush rewrite the store without it. Surface it instead. (After a
 	// corrupt line Scan had succeeded, so Err is nil.)
-	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("dse: read result cache: %w", err)
+	return n, readErr(sc.Err())
+}
+
+// scanStoreLines splits the store at each newline. Unlike
+// bufio.ScanLines it keeps a trailing \r on the line, so a CRLF line is
+// not canonical and fails the parse.
+func scanStoreLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
 	}
-	return n, nil
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
+}
+
+// maxStoreLine caps the length of a store line; an entry line is about
+// 1 KB, so a longer line is junk.
+const maxStoreLine = 4 * 1024 * 1024
+
+// readErr reports a scan error as a failed read, except for a line
+// longer than maxStoreLine, which is a corrupt line: the load keeps the
+// valid prefix before it, and the next flush rewrites the store.
+func readErr(err error) error {
+	if err == nil || errors.Is(err, bufio.ErrTooLong) {
+		return nil
+	}
+	return fmt.Errorf("dse: read result cache: %w", err)
 }
 
 // SaveFile atomically persists every successful cached result to path,
@@ -255,11 +295,14 @@ func (c *Cache) SaveFile(path string) (int, error) {
 		entries = append(entries, diskEntry{Hash: h, Result: e.res})
 	}
 	c.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Hash < entries[j].Hash })
+	// Sort pointers: an entry carries its whole result.
+	sorted := make([]*diskEntry, len(entries))
 	for i := range entries {
-		cfg := Config{Arch: entries[i].Result.Arch, Curve: entries[i].Result.Curve, Opt: entries[i].Result.Opt}
-		entries[i].Key = cfg.Key()
+		e := &entries[i]
+		e.Key = Config{Arch: e.Result.Arch, Curve: e.Result.Curve, Opt: e.Result.Opt}.Key()
+		sorted[i] = e
 	}
+	slices.SortFunc(sorted, func(a, b *diskEntry) int { return strings.Compare(a.Hash, b.Hash) })
 
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, fmt.Errorf("dse: create cache dir: %w", err)
@@ -270,17 +313,21 @@ func (c *Cache) SaveFile(path string) (int, error) {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 
-	w := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(w) // Encode appends the newline delimiter
-	if err := enc.Encode(diskHeader{Format: diskFormatName, Version: diskFormatVersion, Model: modelFingerprint()}); err != nil {
+	w := bufio.NewWriterSize(tmp, 64*1024)
+	hdr, err := json.Marshal(diskHeader{Format: diskFormatName, Version: diskFormatVersion, Model: modelFingerprint()})
+	if err == nil {
+		_, err = w.Write(append(hdr, '\n'))
+	}
+	for i := 0; err == nil && i < len(sorted); i++ {
+		e := sorted[i]
+		var line []byte
+		if line, err = appendStoreLine(w.AvailableBuffer(), e.Hash, e.Key, &e.Result); err == nil {
+			_, err = w.Write(append(line, '\n'))
+		}
+	}
+	if err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("dse: write result cache: %w", err)
-	}
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("dse: write result cache: %w", err)
-		}
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()

@@ -3,11 +3,14 @@ package dse
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/sim"
 )
@@ -303,23 +306,56 @@ func TestDiskCacheCorruptLineKeepsPrefix(t *testing.T) {
 }
 
 // TestDiskCacheReadErrorSurfaces checks that a real read failure is
-// reported, not taken for a corrupt tail: a line longer than the
-// scanner's limit fails the read, and the entries before it are still
+// reported, not taken for a corrupt tail: a read that fails after the
+// store's lines fails the load, and the entries before it are still
 // merged.
 func TestDiskCacheReadErrorSurfaces(t *testing.T) {
-	path, lines := storeLines(t)
-	long := bytes.Repeat([]byte("x"), 5*1024*1024)
-	data := append(bytes.Join(append(lines, long), []byte("\n")), '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	_, lines := storeLines(t)
+	data := append(bytes.Join(lines, []byte("\n")), '\n')
+	r := io.MultiReader(bytes.NewReader(data), iotest.ErrReader(errors.New("device error")))
 	c := NewCache()
-	n, err := c.LoadFile(path)
-	if err == nil || !strings.Contains(err.Error(), "read result cache") {
-		t.Fatalf("LoadFile err = %v, want the read error", err)
+	n, err := c.load(r)
+	if err == nil || !strings.Contains(err.Error(), "read result cache") || !strings.Contains(err.Error(), "device error") {
+		t.Fatalf("load err = %v, want the read error", err)
 	}
 	if want := len(lines) - 1; n != want || c.Len() != want {
 		t.Errorf("loaded %d entries (cache holds %d) before the read error, want %d", n, c.Len(), want)
+	}
+}
+
+// TestDiskCacheOverlongLineIsCorrupt is the regression test for a
+// corrupt tail line longer than the scanner's cap: it is a corrupt line
+// like any other, not a failed sweep. The valid prefix is served, the
+// rest re-simulated, and the flush restores the store.
+func TestDiskCacheOverlongLineIsCorrupt(t *testing.T) {
+	path, lines := storeLines(t)
+	if len(lines) < 3 {
+		t.Fatalf("store has %d lines, need >= 3 (header + 2 entries)", len(lines))
+	}
+	good := append(bytes.Join(lines, []byte("\n")), '\n')
+	junk := bytes.Repeat([]byte("x"), 5*1024*1024)
+	damaged := append(bytes.Join([][]byte{lines[0], lines[1], junk}, []byte("\n")), '\n')
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	if n, err := c.LoadFile(path); err != nil || n != 1 {
+		t.Fatalf("LoadFile = %d, %v; want the 1-entry prefix and no error", n, err)
+	}
+	res, err := Sweep(diskSpec(), SweepOptions{Cache: NewCache(), CacheDir: filepath.Dir(path)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DiskLoaded != 1 || res.CacheMisses != uint64(len(lines)-2) || res.DiskUnchanged {
+		t.Errorf("loaded %d, missed %d, unchanged %t; want 1 loaded, %d re-simulated and a flush",
+			res.DiskLoaded, res.CacheMisses, res.DiskUnchanged, len(lines)-2)
+	}
+	repaired, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(repaired, good) {
+		t.Error("the flush after an over-long corrupt line did not restore the original store")
 	}
 }
 
@@ -420,7 +456,9 @@ func TestDiskCacheHollowOrMismatchedEntryIsCorrupt(t *testing.T) {
 // FuzzLoadFile feeds arbitrary bytes after a valid store header to
 // LoadFile. The store is read from disk a process may not have written,
 // so no input may panic, and every entry it admits must be filed under
-// its own result's configuration hash.
+// its own result's configuration hash. Differentially, every line the
+// store line codec admits must decode to exactly what json.Unmarshal
+// gives and re-encode to the same bytes.
 func FuzzLoadFile(f *testing.F) {
 	_, lines := storeLines(f)
 	header := append(append([]byte{}, lines[0]...), '\n')
@@ -428,7 +466,19 @@ func FuzzLoadFile(f *testing.F) {
 	f.Add(body)                                                             // a real store
 	f.Add(append(append([]byte{}, body...), lines[1][:len(lines[1])/2]...)) // truncated last line
 	f.Add(append(withResult(f, lines[1], json.RawMessage(`{}`)), '\n'))     // hollow entry
+	f.Add(bytes.Replace(body, []byte(`":`), []byte(`": `), 1))              // non-canonical spacing
+	r := everyFieldResult()
+	escaped, err := appendStoreLine(nil, "h", "<k>", &r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(escaped) // every field, every escape
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if _, ok := parseStoreLine(line, &loadEntry{}, map[string]string{}); ok {
+				checkLineAgainstJSON(t, line)
+			}
+		}
 		p := filepath.Join(t.TempDir(), DiskCacheFile)
 		if err := os.WriteFile(p, append(append([]byte{}, header...), data...), 0o644); err != nil {
 			t.Fatal(err)

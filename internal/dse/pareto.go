@@ -1,6 +1,10 @@
 package dse
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // dominates reports whether a is at least as good as b on both axes and
 // strictly better on at least one (lower energy, lower latency).
@@ -17,25 +21,60 @@ func dominates(a, b Point) bool {
 // modified. Duplicate-metric points all survive (none strictly dominates
 // the other).
 func Pareto(points []Point) []Point {
-	sorted := make([]Point, len(points))
-	copy(sorted, points)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].TimeS != sorted[j].TimeS {
-			return sorted[i].TimeS < sorted[j].TimeS
+	return pick(points, paretoFront(points, nil))
+}
+
+// frontKey is one frontier candidate as the sort sees it: its latency
+// and energy, and its index into the point slice.
+type frontKey struct {
+	t, e float64
+	i    int
+}
+
+// paretoFront returns the indices into points of the frontier among the
+// candidates idx (every point when idx is nil; idx must be ascending),
+// in frontier order: ascending latency, then ascending energy, then
+// input order — the order a stable sort by (latency, energy) gives.
+// It sorts small keys rather than whole points, which carry their full
+// simulation result.
+func paretoFront(points []Point, idx []int) []int {
+	n := len(idx)
+	if idx == nil {
+		n = len(points)
+	}
+	keys := make([]frontKey, n)
+	for k := range keys {
+		i := k
+		if idx != nil {
+			i = idx[k]
 		}
-		return sorted[i].EnergyJ < sorted[j].EnergyJ
+		keys[k] = frontKey{t: points[i].TimeS, e: points[i].EnergyJ, i: i}
+	}
+	slices.SortFunc(keys, func(a, b frontKey) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.e, b.e), a.i-b.i)
 	})
 	// After sorting by latency, a point is on the frontier iff its
 	// energy is strictly below every earlier point's (single pass),
 	// with ties on both axes kept.
+	var out []int
+	var bestE, lastT float64
+	for k, p := range keys {
+		if k == 0 || p.e < bestE || (p.e == bestE && p.t == lastT) {
+			out = append(out, p.i)
+			bestE, lastT = p.e, p.t
+		}
+	}
+	return out
+}
+
+// pick copies the indexed points out of the point slice, in index
+// order (nil for no indices).
+func pick(points []Point, idx []int) []Point {
 	var out []Point
-	bestE := 0.0
-	for i, p := range sorted {
-		if i == 0 || p.EnergyJ < bestE {
-			out = append(out, p)
-			bestE = p.EnergyJ
-		} else if p.EnergyJ == bestE && p.TimeS == out[len(out)-1].TimeS {
-			out = append(out, p)
+	if len(idx) > 0 {
+		out = make([]Point, len(idx))
+		for k, i := range idx {
+			out[k] = points[i]
 		}
 	}
 	return out
@@ -48,11 +87,11 @@ type LevelFrontier struct {
 	Points       []Point
 }
 
-// levelGroup is one security level's slice of the point cloud, as
-// produced by perLevel.
+// levelGroup is one security level's share of the point cloud, as
+// produced by perLevel: the indices of its points, ascending.
 type levelGroup struct {
 	level, bits int
-	points      []Point
+	idx         []int
 }
 
 // perLevel groups a point cloud by the paper's security level — the
@@ -60,23 +99,20 @@ type levelGroup struct {
 // level (SecLevel == 0) are dropped, levels come back ascending, and
 // each level's points keep their input order.
 func perLevel(points []Point) []levelGroup {
-	byLevel := make(map[int][]Point)
-	for _, p := range points {
-		if p.SecLevel == 0 {
+	var out []levelGroup
+	for i := range points {
+		l := points[i].SecLevel
+		if l == 0 {
 			continue
 		}
-		byLevel[p.SecLevel] = append(byLevel[p.SecLevel], p)
+		g := slices.IndexFunc(out, func(g levelGroup) bool { return g.level == l })
+		if g < 0 {
+			g = len(out)
+			out = append(out, levelGroup{level: l, bits: points[i].SecurityBits})
+		}
+		out[g].idx = append(out[g].idx, i)
 	}
-	levels := make([]int, 0, len(byLevel))
-	for l := range byLevel {
-		levels = append(levels, l)
-	}
-	sort.Ints(levels)
-	out := make([]levelGroup, 0, len(levels))
-	for _, l := range levels {
-		ps := byLevel[l]
-		out = append(out, levelGroup{level: l, bits: ps[0].SecurityBits, points: ps})
-	}
+	slices.SortFunc(out, func(a, b levelGroup) int { return a.level - b.level })
 	return out
 }
 
@@ -91,7 +127,7 @@ func ParetoPerLevel(points []Point) []LevelFrontier {
 		out = append(out, LevelFrontier{
 			Level:        g.level,
 			SecurityBits: g.bits,
-			Points:       Pareto(g.points),
+			Points:       pick(points, paretoFront(points, g.idx)),
 		})
 	}
 	return out
@@ -133,28 +169,28 @@ func BestPerSecurity(points []Point) []BestPerLevel {
 	groups := perLevel(points)
 	out := make([]BestPerLevel, 0, len(groups))
 	for _, g := range groups {
-		ps := g.points
-		best := BestPerLevel{Level: g.level, SecurityBits: g.bits,
-			MinEnergy: ps[0], MinLatency: ps[0], MinEDP: ps[0]}
-		for _, p := range ps[1:] {
-			if better(p.EnergyJ, best.MinEnergy.EnergyJ, p, best.MinEnergy) {
-				best.MinEnergy = p
+		minE, minT, minEDP := &points[g.idx[0]], &points[g.idx[0]], &points[g.idx[0]]
+		for _, i := range g.idx[1:] {
+			p := &points[i]
+			if better(p.EnergyJ, minE.EnergyJ, p, minE) {
+				minE = p
 			}
-			if better(p.TimeS, best.MinLatency.TimeS, p, best.MinLatency) {
-				best.MinLatency = p
+			if better(p.TimeS, minT.TimeS, p, minT) {
+				minT = p
 			}
-			if better(p.EDP, best.MinEDP.EDP, p, best.MinEDP) {
-				best.MinEDP = p
+			if better(p.EDP, minEDP.EDP, p, minEDP) {
+				minEDP = p
 			}
 		}
-		out = append(out, best)
+		out = append(out, BestPerLevel{Level: g.level, SecurityBits: g.bits,
+			MinEnergy: *minE, MinLatency: *minT, MinEDP: *minEDP})
 	}
 	return out
 }
 
 // better reports whether candidate metric mc beats incumbent mi, breaking
 // exact ties on the canonical key so selection is deterministic.
-func better(mc, mi float64, c, i Point) bool {
+func better(mc, mi float64, c, i *Point) bool {
 	if mc != mi {
 		return mc < mi
 	}

@@ -132,6 +132,63 @@ func TestParetoMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// refPareto is the frontier scan over whole points, stably sorted by
+// (latency, energy): the reference for the index-sorting paretoFront.
+func refPareto(points []Point) []Point {
+	sorted := append([]Point(nil), points...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].TimeS != sorted[j].TimeS {
+			return sorted[i].TimeS < sorted[j].TimeS
+		}
+		return sorted[i].EnergyJ < sorted[j].EnergyJ
+	})
+	var out []Point
+	for i, p := range sorted {
+		if i == 0 || p.EnergyJ < out[len(out)-1].EnergyJ ||
+			(p.EnergyJ == out[len(out)-1].EnergyJ && p.TimeS == out[len(out)-1].TimeS) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func TestParetoOrderMatchesStableSort(t *testing.T) {
+	// Metrics drawn from a few values so that latency, energy and
+	// both-axis ties are common: the frontiers, per level too, must
+	// list the same points in the same order as the stable sort of
+	// whole points.
+	seed := uint64(7)
+	next := func(n uint64) uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return (seed >> 33) % n
+	}
+	for round := 0; round < 50; round++ {
+		var points []Point
+		for i := 0; i < 60; i++ {
+			l := int(next(4))
+			points = append(points, leveled(fmt.Sprintf("p%02d", i), float64(1+next(6)), float64(1+next(6)), l, 96+l))
+		}
+		if got, want := labels(Pareto(points)), labels(refPareto(points)); !equalLabels(got, want...) {
+			t.Fatalf("round %d: Pareto = %v, stable-sort reference %v", round, got, want)
+		}
+		byLevel := map[int][]Point{}
+		for _, p := range points {
+			if p.SecLevel != 0 {
+				byLevel[p.SecLevel] = append(byLevel[p.SecLevel], p)
+			}
+		}
+		fs := ParetoPerLevel(points)
+		if len(fs) != len(byLevel) {
+			t.Fatalf("round %d: %d levels, want %d", round, len(fs), len(byLevel))
+		}
+		for _, lf := range fs {
+			if got, want := labels(lf.Points), labels(refPareto(byLevel[lf.Level])); !equalLabels(got, want...) {
+				t.Fatalf("round %d level %d: frontier %v, stable-sort reference %v", round, lf.Level, got, want)
+			}
+		}
+	}
+}
+
 func TestByEDP(t *testing.T) {
 	points := []Point{
 		fixture("worst", 4, 4), // EDP 16
@@ -226,13 +283,13 @@ func TestPerLevelGrouping(t *testing.T) {
 	if len(groups) != 2 {
 		t.Fatalf("got %d groups, want 2", len(groups))
 	}
-	if groups[0].level != 1 || groups[0].bits != 96 || !equalLabels(labels(groups[0].points), "a1", "b1") {
+	if groups[0].level != 1 || groups[0].bits != 96 || !equalLabels(labels(pick(points, groups[0].idx)), "a1", "b1") {
 		t.Errorf("group 0 = level %d bits %d %v, want level 1 bits 96 [a1 b1]",
-			groups[0].level, groups[0].bits, labels(groups[0].points))
+			groups[0].level, groups[0].bits, labels(pick(points, groups[0].idx)))
 	}
-	if groups[1].level != 5 || groups[1].bits != 256 || !equalLabels(labels(groups[1].points), "e5") {
+	if groups[1].level != 5 || groups[1].bits != 256 || !equalLabels(labels(pick(points, groups[1].idx)), "e5") {
 		t.Errorf("group 1 = level %d bits %d %v, want level 5 bits 256 [e5]",
-			groups[1].level, groups[1].bits, labels(groups[1].points))
+			groups[1].level, groups[1].bits, labels(pick(points, groups[1].idx)))
 	}
 }
 

@@ -329,14 +329,30 @@ func SqrTable(z, a Elem) {
 	}
 }
 
-// SqrCl sets z = a^2 (unreduced) using the carry-less multiplier with a
-// 32-bit window, the ISA-extended squaring path. It runs on the windowed
-// ClMulWord, which computes the MULGF2 product functionally only: the
-// modelled squaring cost comes from the Pete kernels and sim/calibrate.go.
+// SqrCl sets z = a^2 (unreduced), the ISA-extended squaring path, where
+// each word is squared as MULGF2(a[i], a[i]). Squaring in GF(2) is
+// linear — the carry-less square of a word is its bits interleaved with
+// zeros — so each word is spread by five shift-and-mask steps instead
+// of a carry-less multiply; the result is the same bit for bit. The
+// modelled squaring cost comes from the Pete kernels and
+// sim/calibrate.go, not from this routine.
 func SqrCl(z, a Elem) {
-	for i := 0; i < len(a); i++ {
-		hi, lo := ClMulWord(a[i], a[i])
-		z[2*i] = lo
-		z[2*i+1] = hi
+	for i, w := range a {
+		p := spreadBits(w)
+		z[2*i] = uint32(p)
+		z[2*i+1] = uint32(p >> 32)
 	}
+}
+
+// spreadBits returns w with a zero bit inserted above each of its bits:
+// bit j of w moves to bit 2j of the result, which is w's carry-less
+// square.
+func spreadBits(w uint32) uint64 {
+	x := uint64(w)
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & 0x5555555555555555
+	return x
 }

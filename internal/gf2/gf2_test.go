@@ -155,6 +155,38 @@ func TestSqrVariantsAgainstBig(t *testing.T) {
 	}
 }
 
+// TestSqrClMatchesTableAndMulCl checks the bit-interleave squaring
+// against the table squaring and the carry-less product a*a on every
+// NIST binary field, including the all-ones and single-bit words that
+// exercise each shift-and-mask step's boundary.
+func TestSqrClMatchesTableAndMulCl(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, name := range BinaryFieldNames {
+		f := NISTField(name, Comb)
+		for i := 0; i < 100; i++ {
+			a := randElem(r, f)
+			switch i {
+			case 0:
+				for j := range a {
+					a[j] = 0xffffffff
+				}
+			case 1:
+				for j := range a {
+					a[j] = 1 << (j % 32)
+				}
+			}
+			zc, zt, zm := New(2*f.K), New(2*f.K), New(2*f.K)
+			SqrCl(zc, a)
+			SqrTable(zt, a)
+			MulCl(zm, a, a)
+			if !Equal(zc, zt) || !Equal(zc, zm) {
+				t.Fatalf("%s: SqrCl=%s SqrTable=%s MulCl(a,a)=%s for a=%s",
+					name, zc.Hex(), zt.Hex(), zm.Hex(), a.Hex())
+			}
+		}
+	}
+}
+
 func TestReduction(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, name := range BinaryFieldNames {

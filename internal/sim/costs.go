@@ -45,10 +45,17 @@ type FieldCosts struct {
 	Inv PerOp
 }
 
+// measureKey identifies one kernel measurement: the kernel and its
+// operand width in words.
+type measureKey struct {
+	kernel string
+	words  int
+}
+
 // kernel measurement cache: (kernel, k) → PerOp.
 var (
 	measureMu    sync.Mutex
-	measureCache = map[string]PerOp{}
+	measureCache = map[measureKey]PerOp{}
 )
 
 const (
@@ -61,7 +68,7 @@ const (
 // measureKernel runs a kernel once on the pipeline simulator with
 // representative worst-case-ish operands and returns its cost.
 func measureKernel(k *kernels.Kernel, kWords int, extraArg bool) PerOp {
-	key := fmt.Sprintf("%s/%d", k.Name, kWords)
+	key := measureKey{k.Name, kWords}
 	measureMu.Lock()
 	defer measureMu.Unlock()
 	if c, ok := measureCache[key]; ok {
